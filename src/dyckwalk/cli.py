@@ -9,7 +9,8 @@ Subcommands:
 Each run prints a single JSON object (default) or a CSV table to
 stdout; diagnostics go to stderr.  Counts are serialized as decimal
 strings because they outgrow 53-bit floats quickly.  Exit codes:
-0 ok, 1 verification mismatch, 2 usage or domain error.
+0 ok, 1 verification mismatch, 2 usage or domain error, 141 (128 +
+SIGPIPE) when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -31,6 +33,9 @@ from .oracle import (
     count_paths_dp,
 )
 from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
+
+# What a shell reports for a process that SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
 
 
 def _json_safe(value):
@@ -52,6 +57,7 @@ def _emit(record: dict, rows: tuple[list[str], list[list]], fmt: str) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(data)
+    sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
 def _parse_p(text: str):
@@ -223,7 +229,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Counts outgrow the interpreter's 4300-digit limit on int -> str.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # The reader went away (say, `| head`).  Point stdout at /dev/null
+        # so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _run(args) -> int:
+    """Run the parsed command, print its record and return the exit code."""
     start = time.perf_counter()
     try:
         status, params, results, rows = args.handler(args)

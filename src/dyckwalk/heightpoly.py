@@ -29,7 +29,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .poly import ONE, IntPoly, add, mul, shift
+from .poly import ONE, IntPoly, add, mul
 
 _MINUS_X: IntPoly = (0, -1)
 

@@ -24,9 +24,12 @@ number.
 simulate() estimates both quantities empirically.  Trial t draws its
 steps from its own splitmix64 stream seeded by mixing (seed, t), so
 results are a pure function of the configuration and independent of
-execution order or batching; trials are advanced in lockstep with
-numpy for speed.  Trials still unresolved after max_steps are counted
-as truncated and excluded from the estimators.
+execution order or batching.  The active trials advance in blocks: one
+numpy pass draws the next B steps of every active trial, with B chosen
+so that active trials x B stays within a fixed budget of draws (B = 1
+while many trials are active, long blocks for the last few).  Trials
+still unresolved after max_steps are counted as truncated and excluded
+from the estimators.
 """
 
 from __future__ import annotations
@@ -37,12 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heightpoly import (
-    check_step_probability,
-    height_poly,
-    power_diff_ratio,
-)
-from .poly import add, eval_at, mul, shift
+from .genfunc import series_denominator, series_numerator
+from .heightpoly import check_step_probability, power_diff_ratio
+from .poly import eval_at
 
 _U64 = np.uint64
 _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
@@ -51,6 +51,10 @@ _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
 _TRIAL_KEY = _U64(0xD1B54A32D192ED03)
 _INV53 = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
+# Draws made in one pass of the simulator (active trials x block length).
+# It bounds the pass's temporaries; while at least this many trials are
+# active they step one at a time, and the last few take long blocks.
+_DRAW_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -112,17 +116,25 @@ def hit_probability(m: int, p: Fraction) -> Fraction:
 def conditional_hit_time(m: int, p: Fraction) -> Fraction:
     """Exact expected steps from m-1 to m, given 0 is never hit.
 
-    Built from the base case T_2 = 1 by the renewal recurrence
-    T_i = r_i + T_{i-1} * (r_i - 1) with r_i = power_diff_ratio(i, p).
+    The gambler's-ruin closed form: with r = (1-p)/p and
+    f(n) = n * (1 + r**n) / (1 - r**n),
+
+        T_m = (f(m) - f(m-1)) / (2p - 1).
+
+    It solves the renewal recurrence T_2 = 1,
+    T_i = r_i + T_{i-1} * (r_i - 1) with r_i = power_diff_ratio(i, p),
+    in O(1) Fraction operations instead of O(m).
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     check_step_probability(p)
-    t = Fraction(1)
-    for i in range(3, m + 1):
-        r = power_diff_ratio(i, p)
-        t = r + t * (r - 1)
-    return t
+    r = (1 - p) / p
+
+    def f(n: int) -> Fraction:
+        rn = r ** n
+        return n * (1 + rn) / (1 - rn)
+
+    return (f(m) - f(m - 1)) / (2 * p - 1)
 
 
 def path_series_closed(m: int, p: Fraction) -> Fraction:
@@ -138,10 +150,8 @@ def path_series_closed(m: int, p: Fraction) -> Fraction:
         raise ValueError(f"m must be >= 2, got {m}")
     check_step_probability(p)
     x = p * (1 - p)
-    num = add(shift((1 - 2 * m,), m - 1), height_poly(2 * m - 1))
-    hm = height_poly(m)
-    den = mul((1, -4), mul(hm, hm))
-    return eval_at(num, x) / eval_at(den, x)
+    # the generating function of genfunc at height bound n = m - 2
+    return eval_at(series_numerator(m - 2), x) / eval_at(series_denominator(m - 2), x)
 
 
 def renewal_identity_holds(m: int, p: Fraction) -> bool:
@@ -154,7 +164,8 @@ def renewal_identity_holds(m: int, p: Fraction) -> bool:
 
         H * T_m == p + (H - p) * (1 + T_{m-1} + T_m)
 
-    must hold exactly.
+    must hold exactly.  conditional_hit_time is a closed form, so this
+    is a check of it, independent of how it is computed.
     """
     if m < 3:
         raise ValueError(f"m must be >= 3, got {m}")
@@ -172,10 +183,13 @@ def walk_length_to_order(length: int) -> int:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output function, vectorized over uint64 states."""
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+    """splitmix64 output function, vectorized over uint64 states, in place."""
+    z ^= z >> _U64(30)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z
 
 
 def simulate(cfg: WalkConfig) -> WalkStats:
@@ -183,40 +197,59 @@ def simulate(cfg: WalkConfig) -> WalkStats:
 
     Deterministic for a fixed configuration: trial t consumes the
     splitmix64 stream with initial state seed + (t+1) * key (mod 2**64),
-    one draw per step, regardless of how trials are batched.
+    one draw per step, regardless of how trials are batched or blocked.
+    Each pass of the loop takes the next B steps of every active trial,
+    B = _DRAW_BUDGET // active (at least 1, at most the steps left before
+    max_steps): a cumulative sum of the B moves gives each trial's
+    positions, the first visit to 0 or m ends the trial, and the ended
+    trials are dropped once per block.
     """
     p_step = float(cfg.p)
     seed = _U64(cfg.seed & _MASK64)
-    trial_ids = np.arange(1, cfg.trials + 1, dtype=np.uint64)
-    states = seed + trial_ids * _TRIAL_KEY
+    states = seed + np.arange(1, cfg.trials + 1, dtype=np.uint64) * _TRIAL_KEY
     pos = np.full(cfg.trials, cfg.m - 1, dtype=np.int64)
 
     hits_right = hits_left = 0
     len_sum = len_sqsum = 0  # exact int accumulation over right-absorbed trials
     step = 0
     while pos.size and step < cfg.max_steps:
-        step += 1
-        states = states + _STREAM_STEP
-        uniforms = (_mix64(states) >> _U64(11)) * _INV53
-        pos = pos + np.where(uniforms < p_step, 1, -1)
-        right = pos == cfg.m
-        left = pos == 0
-        n_right = int(right.sum())
-        n_left = int(left.sum())
-        if n_right:
-            if step % 2 == 0:
-                raise AssertionError(f"even-length success at step {step}")
+        block = max(1, min(_DRAW_BUDGET // pos.size, cfg.max_steps - step))
+        # draws step+1 .. step+block of every active trial, one row per trial
+        offsets = np.arange(step + 1, step + block + 1, dtype=np.uint64) * _STREAM_STEP
+        draws = _mix64(states[:, None] + offsets)
+        draws >>= _U64(11)
+        paths = np.where(draws * _INV53 < p_step, 1, -1)
+        del draws  # else it outlives the pass, next to the next pass's draws
+        # Prefix sums along a block of one change nothing, yet numpy makes
+        # them one call per row: skipped, they keep B = 1 as fast as a step.
+        if block > 1:
+            np.cumsum(paths, axis=1, out=paths)
+        paths += pos[:, None]
+        at_right = paths == cfg.m
+        ends = at_right | (paths == 0)
+        if block > 1:  # a trial ends at its first visit to 0 or m in the block
+            ends &= np.cumsum(ends, axis=1) == 1
+        ended = ends.any(axis=1)
+        # right-absorbed trials counted by length, so the sums stay exact ints
+        right_hits = np.count_nonzero(ends & at_right, axis=0)
+        for j in np.flatnonzero(right_hits):
+            length, n_right = step + 1 + int(j), int(right_hits[j])
+            if length % 2 == 0:
+                raise AssertionError(f"even-length success at step {length}")
             hits_right += n_right
-            len_sum += n_right * step
-            len_sqsum += n_right * step * step
-        if n_left:
-            hits_left += n_left
-        if n_right or n_left:
-            keep = ~(right | left)
-            pos = pos[keep]
-            states = states[keep]
-    truncated = int(pos.size)
+            len_sum += n_right * length
+            len_sqsum += n_right * length * length
+        hits_left += int(np.count_nonzero(ended) - right_hits.sum())
+        keep = ~ended
+        states, pos = states[keep], paths[:, -1][keep]
+        step += block
+    return _estimate(cfg.trials, hits_right, hits_left, int(pos.size), len_sum, len_sqsum)
 
+
+def _estimate(
+    trials: int, hits_right: int, hits_left: int, truncated: int, len_sum: int, len_sqsum: int
+) -> WalkStats:
+    """WalkStats from the outcome counts and the exact sums of right-absorbed lengths."""
     absorbed = hits_right + hits_left
     if absorbed:
         hit_prob = hits_right / absorbed
@@ -234,7 +267,7 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         mean_len = mean_len_se = math.nan
 
     return WalkStats(
-        trials_run=cfg.trials,
+        trials_run=trials,
         hits_right=hits_right,
         hits_left=hits_left,
         truncated=truncated,

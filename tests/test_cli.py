@@ -3,10 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dyckwalk.cli import main
+import dyckwalk
+from dyckwalk import cli
+from dyckwalk.cli import EXIT_BROKEN_PIPE, main
+from dyckwalk.genfunc import CountTable
 
 
 def run_cli(capsys, *argv):
@@ -175,3 +182,45 @@ def test_usage_errors_exit_with_two(capsys, argv):
         main(list(argv))
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kmax", ["5", "2000"])
+def test_closed_stdout_pipe_exits_without_a_traceback(kmax):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(dyckwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyckwalk", "table", "--n", "10", "--kmax", kmax],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
+
+
+@pytest.fixture
+def default_int_str_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int -> str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_counts_past_the_int_str_limit_are_printed(capsys, monkeypatch, default_int_str_limit):
+    big = 10 ** 5000
+    monkeypatch.setattr(cli, "count_table", lambda n, kmax: CountTable(n, kmax, (1, big)))
+    code, record, _ = run_json(capsys, "table", "--n", "3", "--kmax", "1")
+    assert code == 0
+    assert record["status"] == "ok"
+    assert record["results"]["counts"] == ["1", "1" + "0" * 5000]
+    code, out, _ = run_cli(capsys, "table", "--n", "3", "--kmax", "1", "--format", "csv")
+    assert code == 0
+    assert [row["count"] for row in csv.DictReader(io.StringIO(out))] == ["1", str(big)]

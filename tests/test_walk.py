@@ -1,9 +1,15 @@
 """Absorbing-walk module: exact rational routes and the simulator."""
 
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dyckwalk import walk
+from dyckwalk.heightpoly import power_diff_ratio
 from dyckwalk.walk import (
     WalkConfig,
     conditional_hit_time,
@@ -30,6 +36,23 @@ def test_exact_values_at_one_third():
     assert conditional_hit_time(3, p) == Fraction(11, 7)
     assert path_series_closed(3, p) == Fraction(99, 49)
     assert hit_probability(3, p) * conditional_hit_time(3, p) == Fraction(33, 49)
+
+
+def renewal_recurrence(m, p):
+    """T_m from T_2 = 1 by T_i = r_i + T_{i-1} * (r_i - 1), r_i = power_diff_ratio(i, p)."""
+    t = Fraction(1)
+    for i in range(3, m + 1):
+        r = power_diff_ratio(i, p)
+        t = r + t * (r - 1)
+    return t
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 7), Fraction(3, 5), Fraction(7, 9)]
+)
+def test_closed_form_hit_time_equals_the_renewal_recurrence(p):
+    for m in range(2, 61):
+        assert conditional_hit_time(m, p) == renewal_recurrence(m, p), m
 
 
 def test_exact_values_at_two_fifths():
@@ -157,3 +180,104 @@ def test_tiny_step_cap_reports_truncations():
     assert stats.truncated > 0
     assert stats.trials_run == 1000
     assert stats.hits_right + stats.hits_left + stats.truncated == 1000
+
+
+def lockstep_reference(cfg):
+    """The simulator one step per loop iteration: the exact sums behind WalkStats.
+
+    Trial t (1-based here) draws from splitmix64 started at
+    seed + t * 0xD1B54A32D192ED03 (mod 2**64), adding 0x9E3779B97F4A7C15
+    before each draw, and steps right when the top 53 bits, scaled to
+    [0, 1), fall below float(p).
+    """
+    u64 = np.uint64
+    states = u64(cfg.seed % 2**64) + np.arange(1, cfg.trials + 1, dtype=u64) * u64(0xD1B54A32D192ED03)
+    pos = np.full(cfg.trials, cfg.m - 1, dtype=np.int64)
+    hits_right = hits_left = len_sum = len_sqsum = 0
+    step = 0
+    while pos.size and step < cfg.max_steps:
+        step += 1
+        states = states + u64(0x9E3779B97F4A7C15)
+        z = (states ^ (states >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+        z = z ^ (z >> u64(31))
+        pos = pos + np.where((z >> u64(11)) * 2.0 ** -53 < float(cfg.p), 1, -1)
+        right, left = pos == cfg.m, pos == 0
+        n_right = int(right.sum())
+        hits_right += n_right
+        hits_left += int(left.sum())
+        len_sum += n_right * step
+        len_sqsum += n_right * step * step
+        keep = ~(right | left)
+        pos, states = pos[keep], states[keep]
+    return walk._estimate(cfg.trials, hits_right, hits_left, int(pos.size), len_sum, len_sqsum)
+
+
+def bits(stats):
+    """Every field, floats by repr, so NaN equals NaN and -0.0 differs from 0.0."""
+    fields = [getattr(stats, name) for name in walk.WalkStats.__dataclass_fields__]
+    assert all(type(v) is int for v in fields[:4])
+    return [repr(v) for v in fields]
+
+
+walk_configs = st.builds(
+    WalkConfig,
+    m=st.integers(2, 60),
+    p=st.one_of(
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000),
+    ),
+    trials=st.integers(1, 3000),
+    seed=st.integers(),
+    max_steps=st.integers(1, 2000),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("budget", [1, walk._DRAW_BUDGET, 1 << 20])
+@settings(max_examples=60, deadline=None)
+@given(cfg=walk_configs)
+def test_block_stepping_matches_the_lockstep_reference(budget, cfg):
+    with mock.patch.object(walk, "_DRAW_BUDGET", budget):
+        assert bits(simulate(cfg)) == bits(lockstep_reference(cfg))
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (WalkConfig(m=150, p=0.5, trials=4000, seed=1001), (3975, 25, 0, "104.1577358490566")),
+        (WalkConfig(m=2000, p=Fraction(2, 5), trials=200, seed=1), (119, 81, 0, "3.7899159663865545")),
+        (
+            WalkConfig(m=40, p=0.5, trials=3000, seed=11, max_steps=900),
+            (2923, 64, 13, "20.913787204926447"),
+        ),
+    ],
+)
+def test_golden_runs(cfg, expected):
+    stats = simulate(cfg)
+    assert (stats.hits_right, stats.hits_left, stats.truncated, repr(stats.mean_hit_len)) == expected
+
+
+class _RightEndMovesOut:
+    """A config whose right end reads 3 at the start and 4 afterwards.
+
+    Walks then start at 2 and succeed only in an even number of steps,
+    which no real configuration can produce.
+    """
+
+    p, trials, seed, max_steps = 0.9, 100, 1, 1000
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def m(self):
+        self.reads += 1
+        return 3 if self.reads == 1 else 4
+
+
+@pytest.mark.parametrize("budget", [1, walk._DRAW_BUDGET])
+def test_even_length_success_is_a_defect(budget):
+    with mock.patch.object(walk, "_DRAW_BUDGET", budget):
+        with pytest.raises(AssertionError, match="even-length success at step 2"):
+            simulate(_RightEndMovesOut())
