@@ -4,13 +4,14 @@ Subcommands:
     table   -- exact bounded-path counts A(n, 0..kmax)
     verify  -- cross-check the closed form against the independent oracles
     walk    -- Monte Carlo walk run, with exact comparison when p is a/b
-    hpoly   -- coefficients of the recurrence polynomial family
+    hpoly   -- coefficients of the height polynomial family
 
 Each run prints a single JSON object (default) or a CSV table to
 stdout; diagnostics go to stderr.  Counts are serialized as decimal
 strings because they outgrow 53-bit floats quickly.  Exit codes:
-0 ok, 1 verification mismatch, 2 usage or domain error, 141 (128 +
-SIGPIPE) when stdout is closed before the output is written.
+0 ok, 1 verification mismatch, 2 usage or domain error (including an
+input above its ceiling), 3 defect (a check that only a bug can fail),
+141 (128 + SIGPIPE) when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .genfunc import count_table
+from .genfunc import DivisibilityError, count_table
 from .heightpoly import height_poly
 from .oracle import (
     BRUTEFORCE_MAX_ORDER,
@@ -34,8 +35,22 @@ from .oracle import (
 )
 from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
 
+EXIT_MISMATCH = 1
+EXIT_ERROR = 2
+EXIT_DEFECT = 3
 # What a shell reports for a process that SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
+
+# Input ceilings, checked before anything is built.  Each keeps the
+# largest accepted run under about 1 GB and a minute on 2 cores, as
+# measured at the ceiling: table --n 2000 --kmax 4000 in 32 s and 46 MiB,
+# hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 3 --trials
+# 16000000 in 3 s and 620 MiB (walks whose lengths grow with m take
+# longer; --max-steps caps them).
+MAX_TABLE_N = 2000
+MAX_TABLE_KMAX = 4000
+MAX_HPOLY_M = 40000
+MAX_WALK_TRIALS = 16_000_000
 
 
 def _json_safe(value):
@@ -60,6 +75,11 @@ def _emit(record: dict, rows: tuple[list[str], list[list]], fmt: str) -> None:
     sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
+def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise ValueError(f"{flag} must be at most {ceiling}, got {value}")
+
+
 def _parse_p(text: str):
     """'a/b' gives an exact Fraction, a decimal literal a plain float."""
     try:
@@ -71,15 +91,15 @@ def _parse_p(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse probability {text!r}: {exc}")
 
 
-def _cmd_table(args) -> tuple[str, dict, dict, tuple]:
-    tbl = count_table(args.n, args.kmax)
-    params = {"n": args.n, "kmax": args.kmax}
-    results = {"counts": [str(c) for c in tbl.counts]}
-    rows = (["n", "k", "count"], [[args.n, k, c] for k, c in enumerate(tbl.counts)])
-    return "ok", params, results, rows
+def _cmd_table(args) -> tuple[str, dict, tuple]:
+    _check_ceiling("--n", args.n, MAX_TABLE_N)
+    _check_ceiling("--kmax", args.kmax, MAX_TABLE_KMAX)
+    counts = [str(c) for c in count_table(args.n, args.kmax).counts]
+    rows = (["n", "k", "count"], [[args.n, k, c] for k, c in enumerate(counts)])
+    return "ok", {"counts": counts}, rows
 
 
-def _cmd_verify(args) -> tuple[str, dict, dict, tuple]:
+def _cmd_verify(args) -> tuple[str, dict, tuple]:
     mismatches = []
     cells = 0
     for n in range(args.n_max + 1):
@@ -97,7 +117,6 @@ def _cmd_verify(args) -> tuple[str, dict, dict, tuple]:
             if len(set(routes.values())) > 1:
                 mismatches.append({"n": n, "k": k} | {r: str(v) for r, v in routes.items()})
     status = "ok" if not mismatches else "mismatch"
-    params = {"n_max": args.n_max, "k_max": args.k_max}
     results = {
         "cells": cells,
         "mismatch_count": len(mismatches),
@@ -111,7 +130,7 @@ def _cmd_verify(args) -> tuple[str, dict, dict, tuple]:
             for mm in mismatches
         ],
     )
-    return status, params, results, rows
+    return status, results, rows
 
 
 def _zscore(estimate: float, se: float, exact: float):
@@ -122,7 +141,8 @@ def _zscore(estimate: float, se: float, exact: float):
     return (estimate - exact) / se
 
 
-def _cmd_walk(args) -> tuple[str, dict, dict, tuple]:
+def _cmd_walk(args) -> tuple[str, dict, tuple]:
+    _check_ceiling("--trials", args.trials, MAX_WALK_TRIALS)
     p_value, p_mode = args.p
     cfg = WalkConfig(
         m=args.m, p=p_value, trials=args.trials, seed=args.seed, max_steps=args.max_steps
@@ -162,28 +182,21 @@ def _cmd_walk(args) -> tuple[str, dict, dict, tuple]:
             else "p given as a decimal; pass a/b for exact comparison"
         )
         results.setdefault("note", note)
-    params = {
-        "m": args.m,
-        "p": str(p_value),
-        "trials": args.trials,
-        "seed": args.seed,
-        "max_steps": args.max_steps,
-    }
     flat = dict(results)
     exact = flat.pop("exact", None) or {}
     flat.update({f"exact_{k}": v for k, v in exact.items()})
     rows = (["field", "value"], [[k, v] for k, v in sorted(flat.items())])
-    return "ok", params, results, rows
+    return "ok", results, rows
 
 
-def _cmd_hpoly(args) -> tuple[str, dict, dict, tuple]:
+def _cmd_hpoly(args) -> tuple[str, dict, tuple]:
     if args.m < 1:
         raise ValueError(f"--m must be a positive integer, got {args.m}")
-    coeffs = height_poly(args.m)
-    params = {"m": args.m}
-    results = {"coeffs": [str(c) for c in coeffs], "degree": len(coeffs) - 1}
+    _check_ceiling("--m", args.m, MAX_HPOLY_M)
+    coeffs = [str(c) for c in height_poly(args.m)]
+    results = {"coeffs": coeffs, "degree": len(coeffs) - 1}
     rows = (["m", "j", "coeff"], [[args.m, j, c] for j, c in enumerate(coeffs)])
-    return "ok", params, results, rows
+    return "ok", results, rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_walk)
     p_walk.set_defaults(handler=_cmd_walk)
 
-    p_hpoly = sub.add_parser("hpoly", help="recurrence polynomial coefficients")
+    p_hpoly = sub.add_parser("hpoly", help="height polynomial coefficients")
     p_hpoly.add_argument("--m", type=int, required=True, help="polynomial index (>= 1)")
     add_format(p_hpoly)
     p_hpoly.set_defaults(handler=_cmd_hpoly)
@@ -244,23 +257,29 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def _parameters(args) -> dict:
+    """The echo of the command's flags that every record of it carries."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
+    if "p" in params:
+        params["p"] = str(params["p"][0])  # the value; its mode is a result
+    return params
+
+
 def _run(args) -> int:
-    """Run the parsed command, print its record and return the exit code."""
+    """Run the parsed command, print its record and return the exit code.
+
+    A check that only a bug can fail (a series coefficient off its 2k+1
+    divisor, the brute-force filter check, an even-length walk success)
+    ends in status "defect" and exit 3; bad input in "error" and exit 2.
+    """
+    params = _parameters(args)
     start = time.perf_counter()
     try:
-        status, params, results, rows = args.handler(args)
+        status, results, rows = args.handler(args)
+    except (DivisibilityError, AssertionError) as exc:
+        return _fail(args, params, start, "defect", f"{type(exc).__name__}: {exc}")
     except (ValueError, ArithmeticError) as exc:
-        elapsed = 1000.0 * (time.perf_counter() - start)
-        print(f"error: {exc}", file=sys.stderr)
-        record = {
-            "command": args.command,
-            "parameters": {},
-            "results": {"error": str(exc)},
-            "status": "error",
-            "elapsed_ms": elapsed,
-        }
-        _emit(record, (["error"], [[str(exc)]]), args.format)
-        return 2
+        return _fail(args, params, start, "error", str(exc))
     elapsed = 1000.0 * (time.perf_counter() - start)
     record = {
         "command": args.command,
@@ -270,7 +289,22 @@ def _run(args) -> int:
         "elapsed_ms": elapsed,
     }
     _emit(record, rows, args.format)
-    return 0 if status == "ok" else 1
+    return 0 if status == "ok" else EXIT_MISMATCH
+
+
+def _fail(args, params: dict, start: float, status: str, message: str) -> int:
+    """Print the record of a run that raised, with the message on stderr."""
+    elapsed = 1000.0 * (time.perf_counter() - start)
+    print(f"{status}: {message}", file=sys.stderr)
+    record = {
+        "command": args.command,
+        "parameters": params,
+        "results": {"error": message},
+        "status": status,
+        "elapsed_ms": elapsed,
+    }
+    _emit(record, (["error"], [[message]]), args.format)
+    return EXIT_DEFECT if status == "defect" else EXIT_ERROR
 
 
 if __name__ == "__main__":

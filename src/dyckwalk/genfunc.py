@@ -18,6 +18,7 @@ an implementation bug and raises DivisibilityError rather than rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .heightpoly import height_poly
 from .poly import IntPoly, add, mul, shift
@@ -56,9 +57,10 @@ def series_denominator(n: int) -> IntPoly:
     return mul(_ONE_MINUS_4X, mul(h, h))
 
 
-def series_coeffs(num: IntPoly, den: IntPoly, kmax: int) -> list[int]:
+def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
     """First kmax+1 coefficients of num/den as a formal power series.
 
+    num may be a polynomial or a series already cut after x**kmax.
     Requires den to have constant term 1, which makes every coefficient
     an integer via the linear recurrence
 
@@ -91,6 +93,17 @@ def counts_from_series(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def count_table(n: int, kmax: int) -> CountTable:
-    """Exact A(n, 0..kmax) extracted from the closed form."""
-    series = series_coeffs(series_numerator(n), series_denominator(n), kmax)
+    """Exact A(n, 0..kmax) extracted from the closed form.
+
+    The numerator is divided by the denominator's factors one at a time,
+    P_{n+2}, P_{n+2} again, then 1 - 4x, rather than by their product:
+    the same integer series, but the long divisions multiply by the
+    coefficients of P_{n+2}, which have half the bits of those of
+    P_{n+2}**2.
+    """
+    num = series_numerator(n)
+    h = height_poly(n + 2)
+    series = series_coeffs(num, h, kmax)
+    series = series_coeffs(series, h, kmax)
+    series = series_coeffs(series, _ONE_MINUS_4X, kmax)
     return CountTable(n=n, kmax=kmax, counts=counts_from_series(series))

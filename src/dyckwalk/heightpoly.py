@@ -1,12 +1,22 @@
 """The polynomial family behind height-bounded path counts.
 
-``height_poly(m)`` is the integer polynomial P_m defined by
+``height_poly(m)`` is the integer polynomial P_m of the three-term
+recurrence
 
     P_1 = P_2 = 1,        P_m = P_{m-1} - x * P_{m-2}   (m >= 3),
 
 a rescaled Chebyshev-like (Fibonacci-polynomial-type) family of degree
-floor((m-1)/2) with constant term 1.  Its closed-form coefficients are
-alternating binomials, exposed separately as an independent cross-check.
+floor((m-1)/2) with constant term 1.  It is built from the closed form
+of its coefficients, the alternating binomials
+
+    [x**j] P_m = (-1)**j * C(m-1-j, j),
+
+one exact multiplicative update per coefficient, so a call costs O(m)
+big-int operations on numbers of O(m) bits and keeps nothing once its
+result is dropped (de Bruijn, Knuth and Rice, "The average height of
+planted plane trees", 1972).  ``height_poly_coeff(m, j)`` evaluates one
+coefficient by math.comb, and the recurrence itself is kept in the tests
+as the cross-check.
 
 The same module evaluates the exact rational quantities that the
 polynomials encode for an asymmetric walk with step-right probability p:
@@ -26,37 +36,38 @@ enters every denominator downstream.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
-from .poly import ONE, IntPoly, add, mul
-
-_MINUS_X: IntPoly = (0, -1)
-
-# Monotone append-only cache: _cache[m] is P_m once len(_cache) > m.
-# Entries are immutable tuples, so readers that find an entry may use it
-# without holding the lock; the lock only serializes extension.
-_cache: list[IntPoly] = [(), ONE, ONE]
-_cache_lock = threading.Lock()
+from .poly import IntPoly
 
 
 def height_poly(m: int) -> IntPoly:
-    """Return P_m by the three-term recurrence, memoized for all i <= m."""
+    """Return P_m from its binomial closed form.
+
+    With N = m - 1, |[x**j] P_m| = C(N-j, j), and consecutive binomials
+    differ by the exact ratio
+
+        C(N-j-1, j+1) = C(N-j, j) * (N-2j) * (N-2j-1) / ((j+1) * (N-j)),
+
+    so each coefficient is one multiplication and one exact division of
+    the previous one, with the sign flipped.
+    """
     if m < 1:
         raise ValueError(f"index must be a positive integer, got {m}")
-    if m < len(_cache):
-        return _cache[m]
-    with _cache_lock:
-        while len(_cache) <= m:
-            nxt = add(_cache[-1], mul(_MINUS_X, _cache[-2]))
-            _cache.append(nxt)
-    return _cache[m]
+    n = m - 1
+    coeffs = [1]
+    c = 1
+    for j in range(n // 2):
+        c = c * -((n - 2 * j) * (n - 2 * j - 1)) // ((j + 1) * (n - j))
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def height_poly_coeff(m: int, j: int) -> int:
     """Coefficient of x**j in P_m by the closed form (-1)**j * C(m-1-j, j).
 
-    Independent of the recurrence; used to cross-check height_poly.
+    Computed by math.comb, apart from height_poly's multiplicative
+    updates; used to cross-check it.
     """
     if m < 1:
         raise ValueError(f"index must be a positive integer, got {m}")

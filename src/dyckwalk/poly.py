@@ -26,11 +26,6 @@ def normalize(coeffs: Iterable[int]) -> IntPoly:
     return tuple(out)
 
 
-def degree(a: IntPoly) -> int:
-    """Degree of a nonzero polynomial; -1 for the zero polynomial."""
-    return len(a) - 1
-
-
 def add(a: IntPoly, b: IntPoly) -> IntPoly:
     """Coefficient-wise sum."""
     if len(a) < len(b):

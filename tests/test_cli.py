@@ -12,8 +12,16 @@ import pytest
 
 import dyckwalk
 from dyckwalk import cli
-from dyckwalk.cli import EXIT_BROKEN_PIPE, main
-from dyckwalk.genfunc import CountTable
+from dyckwalk.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_DEFECT,
+    MAX_HPOLY_M,
+    MAX_TABLE_KMAX,
+    MAX_TABLE_N,
+    MAX_WALK_TRIALS,
+    main,
+)
+from dyckwalk.genfunc import CountTable, DivisibilityError
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +101,9 @@ def test_walk_with_rational_p_reports_exact_comparison(capsys):
     assert abs(exact["z_mean_hit_len"]) < 6
     assert results["trials_run"] == 20000
     assert results["truncated"] == 0
+    assert record["parameters"] == {
+        "m": 3, "p": "1/3", "trials": 20000, "seed": 3, "max_steps": 10 ** 7
+    }
 
 
 def test_walk_at_one_half_has_null_exact_fields(capsys):
@@ -150,22 +161,84 @@ def test_hpoly_base_case(capsys):
     assert record["results"]["coeffs"] == ["1"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("table", "--n", "-1", "--kmax", "5"),
-        ("table", "--n", "3", "--kmax", "-2"),
-        ("hpoly", "--m", "0"),
-        ("walk", "--m", "1", "--p", "1/3", "--trials", "10"),
-        ("walk", "--m", "3", "--p", "3/2", "--trials", "10"),
-    ],
-)
+WALK_DEFAULTS = {"seed": 0, "max_steps": 10 ** 7}
+
+# argv -> the parameters an ok record of the same flags would echo
+DOMAIN_ERRORS = {
+    ("table", "--n", "-1", "--kmax", "5"): {"n": -1, "kmax": 5},
+    ("table", "--n", "3", "--kmax", "-2"): {"n": 3, "kmax": -2},
+    ("hpoly", "--m", "0"): {"m": 0},
+    ("walk", "--m", "1", "--p", "1/3", "--trials", "10"):
+        {"m": 1, "p": "1/3", "trials": 10, **WALK_DEFAULTS},
+    ("walk", "--m", "3", "--p", "3/2", "--trials", "10"):
+        {"m": 3, "p": "3/2", "trials": 10, **WALK_DEFAULTS},
+    # input ceilings, refused before anything is allocated
+    ("table", "--n", str(MAX_TABLE_N + 1), "--kmax", "5"): {"n": MAX_TABLE_N + 1, "kmax": 5},
+    ("table", "--n", "3", "--kmax", str(10 ** 9)): {"n": 3, "kmax": 10 ** 9},
+    ("hpoly", "--m", str(MAX_HPOLY_M + 1)): {"m": MAX_HPOLY_M + 1},
+    ("walk", "--m", "3", "--p", "1/3", "--trials", str(10 ** 9)):
+        {"m": 3, "p": "1/3", "trials": 10 ** 9, **WALK_DEFAULTS},
+}
+
+
+@pytest.mark.parametrize("argv", list(DOMAIN_ERRORS))
 def test_domain_errors_exit_with_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
     record = json.loads(out)
     assert record["status"] == "error"
+    assert record["parameters"] == DOMAIN_ERRORS[argv]
+
+
+def test_ceilings_admit_the_largest_documented_inputs():
+    assert MAX_TABLE_KMAX >= 4000
+    assert MAX_TABLE_N >= 1000
+    assert MAX_HPOLY_M >= 20000
+    assert MAX_WALK_TRIALS >= 4_000_000
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target, exc, argv, params",
+    [
+        ("count_table", DivisibilityError("coefficient 7 at k=1 is not divisible by 3"),
+         ("table", "--n", "2", "--kmax", "4"), {"n": 2, "kmax": 4}),
+        ("count_table", DivisibilityError("coefficient 7 at k=1 is not divisible by 3"),
+         ("verify", "--n-max", "1", "--k-max", "2"), {"n_max": 1, "k_max": 2}),
+        ("simulate", AssertionError("even-length success at step 4"),
+         ("walk", "--m", "3", "--p", "1/3", "--trials", "10", "--seed", "5"),
+         {"m": 3, "p": "1/3", "trials": 10, "seed": 5, "max_steps": 10 ** 7}),
+    ],
+)
+def test_defects_exit_with_three(capsys, monkeypatch, target, exc, argv, params):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DEFECT == 3
+    assert err.startswith("defect:")
+    assert str(exc) in err
+    record = json.loads(out)
+    assert record["status"] == "defect"
+    assert record["parameters"] == params
+    assert str(exc) in record["results"]["error"]
+
+
+def test_defect_record_in_csv(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", _raise(AssertionError("even-length success at step 4")))
+    code, out, err = run_cli(
+        capsys, "walk", "--m", "3", "--p", "1/3", "--trials", "10", "--format", "csv"
+    )
+    assert code == 3
+    assert err.startswith("defect:")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["error"]
+    assert "even-length success at step 4" in rows[1][0]
 
 
 @pytest.mark.parametrize(

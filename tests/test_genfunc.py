@@ -1,6 +1,8 @@
 """Closed-form series extraction and the exact count table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckwalk.genfunc import (
     CountTable,
@@ -128,3 +130,12 @@ def test_series_coefficients_carry_odd_divisors(n):
     coeffs = series_coeffs(series_numerator(n), series_denominator(n), 60)
     for k, c in enumerate(coeffs):
         assert c % (2 * k + 1) == 0
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=200))
+def test_factor_by_factor_division_equals_one_division_by_the_product(n, kmax):
+    # count_table divides by P_{n+2}, P_{n+2} and 1 - 4x in turn; the
+    # reference divides once by the expanded (1 - 4x) * P_{n+2}**2
+    single = series_coeffs(series_numerator(n), series_denominator(n), kmax)
+    assert count_table(n, kmax).counts == counts_from_series(single)

@@ -1,10 +1,14 @@
 """Recurrence polynomial family and its power-difference counterpart."""
 
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckwalk.heightpoly import (
     check_step_probability,
@@ -14,6 +18,18 @@ from dyckwalk.heightpoly import (
     power_diff_ratio,
 )
 from dyckwalk.poly import add, eval_at, mul, shift
+
+
+def recurrence_height_poly(m: int) -> tuple[int, ...]:
+    """P_m by the rolling three-term recurrence P_i = P_{i-1} - x * P_{i-2}.
+
+    The reference height_poly is checked against: it never uses the
+    binomial closed form.
+    """
+    prev, cur = (1,), (1,)
+    for _ in range(3, m + 1):
+        prev, cur = cur, add(cur, mul((0, -1), prev))
+    return cur
 
 
 def random_probability(rng: random.Random) -> Fraction:
@@ -63,6 +79,31 @@ def test_coefficients_match_binomial_closed_form(m):
     for j, coeff in enumerate(poly):
         assert coeff == (-1) ** j * math.comb(m - 1 - j, j)
         assert coeff == height_poly_coeff(m, j)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=600))
+def test_closed_form_equals_the_recurrence(m):
+    assert height_poly(m) == recurrence_height_poly(m)
+
+
+def test_large_index_matches_binomials_and_keeps_nothing():
+    m = 20000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        poly = height_poly(m)
+        assert len(poly) == (m - 1) // 2 + 1
+        for j in (0, 1, 2, 999, 3333, 5000, 7777, len(poly) - 1):
+            assert poly[j] == height_poly_coeff(m, j), j
+        del poly
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # P_20000 itself holds about 10 MB of coefficients
+    assert retained < 64 * 1024
 
 
 def test_coeff_out_of_range_is_zero():
