@@ -27,13 +27,7 @@ from fractions import Fraction
 
 from .genfunc import DivisibilityError, count_table
 from .heightpoly import height_poly
-from .oracle import (
-    BRUTEFORCE_MAX_ORDER,
-    count_by_contfrac,
-    count_paths_bruteforce,
-    count_paths_dp,
-)
-from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
+from .oracle import BRUTEFORCE_MAX_ORDER, contfrac_rows, count_paths_bruteforce, count_row_dp
 
 EXIT_MISMATCH = 1
 EXIT_ERROR = 2
@@ -46,11 +40,14 @@ EXIT_BROKEN_PIPE = 141
 # measured at the ceiling: table --n 2000 --kmax 4000 in 32 s and 46 MiB,
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 3 --trials
 # 16000000 in 3 s and 620 MiB (walks whose lengths grow with m take
-# longer; --max-steps caps them).
+# longer; --max-steps caps them), verify --n-max 100 --k-max 1000 in 39 s
+# and 19 MiB (the convergent sweep, O(n_max * k_max**2), is most of it).
 MAX_TABLE_N = 2000
 MAX_TABLE_KMAX = 4000
 MAX_HPOLY_M = 40000
 MAX_WALK_TRIALS = 16_000_000
+MAX_VERIFY_N = 100
+MAX_VERIFY_K = 1000
 
 
 def _json_safe(value):
@@ -100,18 +97,21 @@ def _cmd_table(args) -> tuple[str, dict, tuple]:
 
 
 def _cmd_verify(args) -> tuple[str, dict, tuple]:
+    for flag, value in (("--n-max", args.n_max), ("--k-max", args.k_max)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
+    _check_ceiling("--n-max", args.n_max, MAX_VERIFY_N)
+    _check_ceiling("--k-max", args.k_max, MAX_VERIFY_K)
     mismatches = []
     cells = 0
-    for n in range(args.n_max + 1):
+    # One row per route and height bound: the series, one DP pass and the
+    # next convergent of one continued-fraction sweep.
+    for n, contfrac in enumerate(contfrac_rows(args.n_max, args.k_max)):
         counts = count_table(n, args.k_max).counts
-        contfrac = count_by_contfrac(n, args.k_max)
+        dp = count_row_dp(n, args.k_max)
         for k in range(args.k_max + 1):
             cells += 1
-            routes = {
-                "series": counts[k],
-                "dp": count_paths_dp(k, n),
-                "contfrac": contfrac[k],
-            }
+            routes = {"series": counts[k], "dp": dp[k], "contfrac": contfrac[k]}
             if k <= BRUTEFORCE_MAX_ORDER:
                 routes["bruteforce"] = count_paths_bruteforce(k, n)
             if len(set(routes.values())) > 1:
@@ -143,6 +143,10 @@ def _zscore(estimate: float, se: float, exact: float):
 
 def _cmd_walk(args) -> tuple[str, dict, tuple]:
     _check_ceiling("--trials", args.trials, MAX_WALK_TRIALS)
+    # Imported here, not at the top: only walk needs numpy, whose import
+    # would otherwise be most of every other command's start-up.
+    from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
+
     p_value, p_mode = args.p
     cfg = WalkConfig(
         m=args.m, p=p_value, trials=args.trials, seed=args.seed, max_steps=args.max_steps

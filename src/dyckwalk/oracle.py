@@ -2,14 +2,17 @@
 
 Ground truth for the closed-form extraction in genfunc:
 
-  * count_paths_bruteforce -- backtracking enumeration of every up/down
-    sequence that stays nonnegative and returns to zero, filtering on
-    peak height.  Exponential; guarded to order <= 14.
-  * count_paths_dp -- transfer-matrix dynamic program over
-    (step, height) states with a rolling row of exact ints.
-  * count_by_contfrac -- truncated power-series convergents
-    G_0 = 1, G_h = 1 / (1 - z * G_{h-1}); the coefficients of G_n count
-    paths of height <= n.
+  * count_paths_bruteforce -- enumeration of every up/down sequence that
+    stays nonnegative and returns to zero, each built once as a prefix
+    and a suffix that meet at the middle, filtering on peak height.
+    Exponential; guarded to order <= 14.
+  * count_row_dp -- transfer-matrix dynamic program over (step, height)
+    states with a rolling row of exact ints; one pass gives a whole row
+    A(n, 0..kmax), and count_paths_dp reads one cell of it.
+  * contfrac_rows -- truncated power-series convergents
+    G_0 = 1, G_h = 1 / (1 - z * G_{h-1}), each built from the one
+    before; the coefficients of G_n count paths of height <= n, and
+    count_by_contfrac returns row n.
 
 This module is deliberately self-contained: it shares no code with the
 generating-function route it is used to check.
@@ -18,7 +21,9 @@ generating-function route it is used to check.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
+from typing import Iterator
 
 BRUTEFORCE_MAX_ORDER = 14
 
@@ -30,6 +35,27 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+def _half_walks(k: int) -> list[list[tuple[int, int, bool]]]:
+    """Every k-step walk from height 0 that never goes below 0, by end height.
+
+    Entry h lists (maximum node height, highest peak at an inner node,
+    last step up) for each walk that ends at height h.
+    """
+    by_end: list[list[tuple[int, int, bool]]] = [[] for _ in range(k + 1)]
+
+    def descend(pos: int, h: int, maxh: int, maxpeak: int, last_up: bool) -> None:
+        if pos == k:
+            by_end[h].append((maxh, maxpeak, last_up))
+            return
+        descend(pos + 1, h + 1, max(maxh, h + 1), maxpeak, True)
+        # down step; an up step immediately before makes node h a peak
+        if h > 0:
+            descend(pos + 1, h - 1, maxh, max(maxpeak, h) if last_up else maxpeak, False)
+
+    descend(0, 0, 0, 0, False)
+    return by_end
+
+
 @lru_cache(maxsize=None)
 def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Enumerate all Dyck paths of order k; histogram two per-path maxima.
@@ -37,30 +63,38 @@ def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Returns (by_height, by_peak): entry h of by_height counts paths whose
     maximum node height is h, entry h of by_peak counts paths whose
     highest peak is at height h (0 for the empty path, which has no
-    peaks).  The walk tracks both quantities independently so their
+    peaks).  Both maxima are taken per path and independently, so their
     agreement is an observation, not an assumption.
+
+    Each path is a k-step prefix from 0 to some height h joined to a
+    k-step suffix from h back to 0.  A suffix read backwards is a walk
+    from 0 to h with the same nodes and peaks, and a walk from 0 never
+    stands higher than the steps it has taken, which is the suffix's
+    pruning (height <= steps left); so the half walks ending at h serve
+    as both the prefixes and the suffixes, and pairing every prefix with
+    every suffix visits each path once, Catalan(k) in all.  A path's
+    maximum is the larger of its halves' maxima, and the junction node h
+    is a peak when the prefix ends with an up step and the suffix starts
+    with a down step (its reversal ends with an up step).
     """
     by_height = [0] * (k + 1)
     by_peak = [0] * (k + 1)
-    if k == 0:
-        by_height[0] = by_peak[0] = 1
-        return tuple(by_height), tuple(by_peak)
-    steps = 2 * k
-
-    def descend(pos: int, h: int, maxh: int, maxpeak: int, last_up: bool) -> None:
-        if pos == steps:
-            by_height[maxh] += 1
-            by_peak[maxpeak] += 1
-            return
-        rem = steps - pos
-        # up step, unless the walk could no longer return to zero
-        if h + 1 <= rem - 1:
-            descend(pos + 1, h + 1, max(maxh, h + 1), maxpeak, True)
-        # down step; an up step immediately before makes node h a peak
-        if h > 0:
-            descend(pos + 1, h - 1, maxh, max(maxpeak, h) if last_up else maxpeak, False)
-
-    descend(0, 0, 0, 0, False)
+    # larger[a] maps each byte b to max(a, b): bytes.translate then takes
+    # one path's maximum per suffix, a byte per path, at C speed.
+    larger = [bytes(max(a, b) for b in range(256)) for a in range(k + 1)]
+    for h, halves in enumerate(_half_walks(k)):
+        maxima = bytes(maxh for maxh, _, _ in halves)
+        peaks = bytes(maxpeak for _, maxpeak, _ in halves)
+        # the suffix peaks seen by a prefix that ends with an up step
+        peaks_after_up = bytes(max(maxpeak, h) if up else maxpeak for _, maxpeak, up in halves)
+        path_heights = b"".join(maxima.translate(larger[maxh]) for maxh, _, _ in halves)
+        path_peaks = b"".join(
+            (peaks_after_up if up else peaks).translate(larger[maxpeak])
+            for _, maxpeak, up in halves
+        )
+        for i in range(k + 1):
+            by_height[i] += path_heights.count(i)
+            by_peak[i] += path_peaks.count(i)
     return tuple(by_height), tuple(by_peak)
 
 
@@ -91,48 +125,55 @@ def count_paths_bruteforce(k: int, n: int) -> int:
     return peak_count
 
 
-def count_paths_dp(k: int, n: int) -> int:
-    """Transfer-matrix count of order-k Dyck paths with height <= n.
+def count_row_dp(n: int, kmax: int) -> list[int]:
+    """Transfer-matrix counts A(n, 0..kmax) of Dyck paths with height <= n.
 
-    Propagates exact path counts over heights 0..min(n, k) through 2k
-    steps; O(k * min(n, k)) big-int additions.
-    """
-    if k < 0 or n < 0:
-        raise ValueError(f"order and bound must be nonnegative, got k={k}, n={n}")
-    hmax = min(n, k)
-    ways = [0] * (hmax + 1)
-    ways[0] = 1
-    for _ in range(2 * k):
-        new = [0] * (hmax + 1)
-        for h, w in enumerate(ways):
-            if w:
-                if h + 1 <= hmax:
-                    new[h + 1] += w
-                if h > 0:
-                    new[h - 1] += w
-        ways = new
-    return ways[0]
-
-
-def count_by_contfrac(n: int, kmax: int) -> list[int]:
-    """Counts A(n, 0..kmax) via truncated continued-fraction convergents.
-
-    Iterates G_0 = 1, G_h = 1 / (1 - z * G_{h-1}) as integer power
-    series mod z**(kmax+1); after n iterations the coefficients count
-    Dyck paths of height <= n.
+    One pass propagates exact path counts over heights 0..min(n, kmax)
+    through 2*kmax steps and reads the paths back at 0 after every even
+    step; O(kmax * min(n, kmax)) big-int additions for the whole row.
     """
     if n < 0 or kmax < 0:
         raise ValueError(f"bound and kmax must be nonnegative, got n={n}, kmax={kmax}")
+    hmax = min(n, kmax)
+    ways = [1] + [0] * hmax
+    row = [1]
+    for _ in range(kmax):
+        for _ in range(2):
+            # new[h] = ways[h-1] + ways[h+1], with 0 outside 0..hmax
+            padded = [0, *ways, 0]
+            ways = [padded[h] + padded[h + 2] for h in range(hmax + 1)]
+        row.append(ways[0])
+    return row
+
+
+def count_paths_dp(k: int, n: int) -> int:
+    """Transfer-matrix count of order-k Dyck paths with height <= n."""
+    return count_row_dp(n, k)[k]
+
+
+def contfrac_rows(n_max: int, kmax: int) -> Iterator[list[int]]:
+    """Convergents G_0, G_1, ..., G_{n_max} mod z**(kmax+1), one at a time.
+
+    G_0 = 1 and G_h = 1 / (1 - z * G_{h-1}), each as an integer power
+    series built from the one before; the coefficients of G_n count Dyck
+    paths of height <= n.  Each row is a new list, so a caller may keep it.
+    """
+    if n_max < 0 or kmax < 0:
+        raise ValueError(f"bound and kmax must be nonnegative, got n={n_max}, kmax={kmax}")
     conv = [1] + [0] * kmax
-    for _ in range(n):
-        # denominator D = 1 - z * conv, truncated; invert (D_0 is 1)
-        den = [1] + [-c for c in conv[:kmax]]
-        inv = [0] * (kmax + 1)
-        inv[0] = 1
+    yield conv
+    for _ in range(n_max):
+        # invert D = 1 - z * conv: D_0 is 1 and D_j = -conv[j-1], so
+        # inv[k] = sum over j = 1..k of conv[j-1] * inv[k-j]
+        inv = [1]
         for k in range(1, kmax + 1):
-            acc = 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * inv[k - j]
-            inv[k] = acc
+            inv.append(sum(map(operator.mul, conv[:k], reversed(inv))))
         conv = inv
+        yield conv
+
+
+def count_by_contfrac(n: int, kmax: int) -> list[int]:
+    """Counts A(n, 0..kmax): row n of the continued-fraction sweep."""
+    for conv in contfrac_rows(n, kmax):
+        pass
     return conv

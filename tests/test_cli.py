@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 
 import dyckwalk
-from dyckwalk import cli
+from dyckwalk import cli, oracle, walk
 from dyckwalk.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DEFECT,
     MAX_HPOLY_M,
     MAX_TABLE_KMAX,
     MAX_TABLE_N,
+    MAX_VERIFY_K,
+    MAX_VERIFY_N,
     MAX_WALK_TRIALS,
     main,
 )
@@ -85,6 +87,32 @@ def test_verify_single_cell(capsys):
     assert code == 0
     assert record["status"] == "ok"
     assert record["results"]["cells"] == 1
+
+
+def test_verify_builds_each_row_once(capsys, monkeypatch):
+    dp_rows, sweeps, cells = [], [], []
+
+    def recorder(log, fn):
+        def record(*args):
+            log.append(args)
+            return fn(*args)
+
+        return record
+
+    monkeypatch.setattr(cli, "count_row_dp", recorder(dp_rows, oracle.count_row_dp))
+    monkeypatch.setattr(cli, "contfrac_rows", recorder(sweeps, oracle.contfrac_rows))
+    monkeypatch.setattr(oracle, "count_paths_dp", recorder(cells, oracle.count_paths_dp))
+    oracle._maxima_histograms.cache_clear()
+    code, record, _ = run_json(capsys, "verify", "--n-max", "3", "--k-max", "16")
+    assert code == 0
+    assert record["results"]["cells"] == 4 * 17
+    assert dp_rows == [(n, 16) for n in range(4)]
+    assert sweeps == [(3, 16)]
+    assert cells == [] and "count_paths_dp" not in vars(cli)
+    # every brute-force order enumerated once, however many bounds ask for it
+    info = oracle._maxima_histograms.cache_info()
+    assert info.misses == oracle.BRUTEFORCE_MAX_ORDER + 1
+    assert info.hits == 4 * (oracle.BRUTEFORCE_MAX_ORDER + 1) - info.misses
 
 
 def test_walk_with_rational_p_reports_exact_comparison(capsys):
@@ -178,6 +206,13 @@ DOMAIN_ERRORS = {
     ("hpoly", "--m", str(MAX_HPOLY_M + 1)): {"m": MAX_HPOLY_M + 1},
     ("walk", "--m", "3", "--p", "1/3", "--trials", str(10 ** 9)):
         {"m": 3, "p": "1/3", "trials": 10 ** 9, **WALK_DEFAULTS},
+    # a negative verify bound would otherwise pass an empty grid
+    ("verify", "--n-max", "-1", "--k-max", "5"): {"n_max": -1, "k_max": 5},
+    ("verify", "--n-max", "3", "--k-max", "-1"): {"n_max": 3, "k_max": -1},
+    # the verify ceilings
+    ("verify", "--n-max", str(MAX_VERIFY_N + 1), "--k-max", "5"):
+        {"n_max": MAX_VERIFY_N + 1, "k_max": 5},
+    ("verify", "--n-max", "3", "--k-max", str(10 ** 9)): {"n_max": 3, "k_max": 10 ** 9},
 }
 
 
@@ -196,6 +231,12 @@ def test_ceilings_admit_the_largest_documented_inputs():
     assert MAX_TABLE_N >= 1000
     assert MAX_HPOLY_M >= 20000
     assert MAX_WALK_TRIALS >= 4_000_000
+    assert MAX_VERIFY_N >= 20
+    assert MAX_VERIFY_K >= 300
+
+
+# where the command looks each patched function up when it runs
+PATCH_SITES = {"count_table": cli, "simulate": walk}
 
 
 def _raise(exc):
@@ -218,7 +259,7 @@ def _raise(exc):
     ],
 )
 def test_defects_exit_with_three(capsys, monkeypatch, target, exc, argv, params):
-    monkeypatch.setattr(cli, target, _raise(exc))
+    monkeypatch.setattr(PATCH_SITES[target], target, _raise(exc))
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_DEFECT == 3
     assert err.startswith("defect:")
@@ -230,7 +271,7 @@ def test_defects_exit_with_three(capsys, monkeypatch, target, exc, argv, params)
 
 
 def test_defect_record_in_csv(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "simulate", _raise(AssertionError("even-length success at step 4")))
+    monkeypatch.setattr(walk, "simulate", _raise(AssertionError("even-length success at step 4")))
     code, out, err = run_cli(
         capsys, "walk", "--m", "3", "--p", "1/3", "--trials", "10", "--format", "csv"
     )
@@ -257,24 +298,61 @@ def test_usage_errors_exit_with_two(capsys, argv):
     capsys.readouterr()
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this dyckwalk."""
+    src = str(Path(dyckwalk.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("kmax", ["5", "2000"])
 def test_closed_stdout_pipe_exits_without_a_traceback(kmax):
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(dyckwalk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "dyckwalk", "table", "--n", "10", "--kmax", kmax],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
             timeout=60,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+NUMPY_PROBE = (
+    "import sys; from dyckwalk.cli import main; code = main(sys.argv[1:]); "
+    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, imports_numpy",
+    [
+        (("table", "--n", "2", "--kmax", "6"), False),
+        (("hpoly", "--m", "7"), False),
+        (("verify", "--n-max", "2", "--k-max", "4"), False),
+        (("walk", "--m", "3", "--p", "1/3", "--trials", "10"), True),
+    ],
+)
+def test_only_walk_imports_numpy(argv, imports_numpy):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        capture_output=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.decode().split() == [str(imports_numpy)]
+
+
+def test_package_loads_the_walk_names_on_first_use():
+    assert dyckwalk.simulate is walk.simulate
+    assert dyckwalk.WalkConfig is walk.WalkConfig
+    with pytest.raises(AttributeError):
+        dyckwalk.no_such_name
 
 
 @pytest.fixture

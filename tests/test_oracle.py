@@ -1,14 +1,66 @@
 """Independent counting oracles: brute force, transfer DP, convergents."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyckwalk.genfunc import count_table
 from dyckwalk.oracle import (
     BRUTEFORCE_MAX_ORDER,
+    _maxima_histograms,
     catalan,
+    contfrac_rows,
     count_by_contfrac,
     count_paths_bruteforce,
     count_paths_dp,
+    count_row_dp,
 )
+
+
+def recursive_histograms(k):
+    """Reference for _maxima_histograms: one recursive walk over all 2k steps.
+
+    Returns (by_height, by_peak), indexed by a path's maximum node height
+    and by the height of its highest peak (0 for the empty path).
+    """
+    by_height = [0] * (k + 1)
+    by_peak = [0] * (k + 1)
+    if k == 0:
+        by_height[0] = by_peak[0] = 1
+        return tuple(by_height), tuple(by_peak)
+    steps = 2 * k
+
+    def descend(pos, h, maxh, maxpeak, last_up):
+        if pos == steps:
+            by_height[maxh] += 1
+            by_peak[maxpeak] += 1
+            return
+        rem = steps - pos
+        # up step, unless the walk could no longer return to zero
+        if h + 1 <= rem - 1:
+            descend(pos + 1, h + 1, max(maxh, h + 1), maxpeak, True)
+        # down step; an up step immediately before makes node h a peak
+        if h > 0:
+            descend(pos + 1, h - 1, maxh, max(maxpeak, h) if last_up else maxpeak, False)
+
+    descend(0, 0, 0, 0, False)
+    return tuple(by_height), tuple(by_peak)
+
+
+def reflection_count(n, k):
+    """A(n, k) by the reflection principle (de Bruijn, Knuth and Rice 1972):
+    the sum over all integers j of C(2k, k + j(n+2)) - C(2k, k + j(n+2) + 1)."""
+
+    def binom(i):
+        return math.comb(2 * k, i) if 0 <= i <= 2 * k else 0
+
+    period = n + 2
+    reach = k // period + 1
+    return sum(
+        binom(k + j * period) - binom(k + j * period + 1) for j in range(-reach, reach + 1)
+    )
 
 
 def test_catalan_values():
@@ -94,3 +146,51 @@ def test_counts_grow_with_the_height_bound(k):
         assert previous == catalan(k)
     else:
         assert previous < catalan(k)
+
+
+@pytest.mark.parametrize("k", range(0, 13))
+def test_split_enumeration_matches_the_recursive_one(k):
+    assert _maxima_histograms(k) == recursive_histograms(k)
+    # every path counted once in each histogram
+    assert sum(_maxima_histograms(k)[0]) == sum(_maxima_histograms(k)[1]) == catalan(k)
+
+
+def test_reflection_reference_on_known_rows():
+    assert [reflection_count(0, k) for k in range(5)] == [1, 0, 0, 0, 0]
+    assert [reflection_count(2, k) for k in range(7)] == [1, 1, 2, 4, 8, 16, 32]
+    assert [reflection_count(k, k) for k in range(10)] == [catalan(k) for k in range(10)]
+
+
+def test_dp_row_reads_every_order_from_one_pass():
+    assert count_row_dp(2, 6) == [1, 1, 2, 4, 8, 16, 32]
+    assert count_row_dp(0, 3) == [1, 0, 0, 0]
+    assert count_row_dp(5, 0) == [1]
+    with pytest.raises(ValueError):
+        count_row_dp(-1, 3)
+    with pytest.raises(ValueError):
+        count_row_dp(3, -1)
+
+
+def test_contfrac_sweep_yields_each_convergent_in_turn():
+    rows = list(contfrac_rows(3, 5))
+    assert rows == [
+        [1, 0, 0, 0, 0, 0],
+        [1, 1, 1, 1, 1, 1],
+        [1, 1, 2, 4, 8, 16],
+        [1, 1, 2, 5, 13, 34],
+    ]
+    assert len({id(row) for row in rows}) == len(rows)  # no row is reused
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=200))
+def test_counting_routes_agree_cell_by_cell(n, kmax):
+    dp = count_row_dp(n, kmax)
+    *_, convergent = contfrac_rows(n, kmax)
+    series = count_table(n, kmax).counts
+    assert len(dp) == len(convergent) == len(series) == kmax + 1
+    for k in range(kmax + 1):
+        expected = reflection_count(n, k)
+        assert dp[k] == convergent[k] == series[k] == expected, (n, k)
+        if k <= 12:
+            assert count_paths_bruteforce(k, n) == expected, (n, k)
