@@ -40,14 +40,18 @@ EXIT_BROKEN_PIPE = 141
 # measured at the ceiling: table --n 2000 --kmax 4000 in 32 s and 46 MiB,
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 3 --trials
 # 16000000 in 3 s and 620 MiB (walks whose lengths grow with m take
-# longer; --max-steps caps them), verify --n-max 100 --k-max 1000 in 39 s
-# and 19 MiB (the convergent sweep, O(n_max * k_max**2), is most of it).
+# longer; --max-steps caps them), walk --m 500000 --p 2/5 --trials 1 in
+# 15-16 s and 34 MiB (its exact rationals, whose bits grow with m times
+# those of p's denominator; m 1000000 took 67 s), verify --n-max 100
+# --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most of
+# it; --n-max 150 took 70 s).
 MAX_TABLE_N = 2000
 MAX_TABLE_KMAX = 4000
 MAX_HPOLY_M = 40000
 MAX_WALK_TRIALS = 16_000_000
+MAX_WALK_M = 500_000
 MAX_VERIFY_N = 100
-MAX_VERIFY_K = 1000
+MAX_VERIFY_K = 4000
 
 
 def _json_safe(value):
@@ -142,6 +146,7 @@ def _zscore(estimate: float, se: float, exact: float):
 
 
 def _cmd_walk(args) -> tuple[str, dict, tuple]:
+    _check_ceiling("--m", args.m, MAX_WALK_M)
     _check_ceiling("--trials", args.trials, MAX_WALK_TRIALS)
     # Imported here, not at the top: only walk needs numpy, whose import
     # would otherwise be most of every other command's start-up.

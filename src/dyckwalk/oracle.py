@@ -10,8 +10,11 @@ Ground truth for the closed-form extraction in genfunc:
     states with a rolling row of exact ints; one pass gives a whole row
     A(n, 0..kmax), and count_paths_dp reads one cell of it.
   * contfrac_rows -- truncated power-series convergents
-    G_0 = 1, G_h = 1 / (1 - z * G_{h-1}), each built from the one
-    before; the coefficients of G_n count paths of height <= n, and
+    G_0 = 1, G_h = 1 / (1 - z * G_{h-1}) of the continued fraction of
+    the Catalan series, each the ratio D_{h-1} / D_h of two polynomials
+    of the Euler-Wallis recurrence D_h = D_{h-1} - z * D_{h-2}
+    (Flajolet 1980) and expanded by one short series division; the
+    coefficients of G_n count paths of height <= n, and
     count_by_contfrac returns row n.
 
 This module is deliberately self-contained: it shares no code with the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterator
 
 BRUTEFORCE_MAX_ORDER = 14
@@ -151,25 +155,58 @@ def count_paths_dp(k: int, n: int) -> int:
     return count_row_dp(n, k)[k]
 
 
+def _wallis_denominators(n_max: int) -> Iterator[list[int]]:
+    """D_0, D_1, ..., D_{n_max} of D_{-1} = D_0 = 1, D_h = D_{h-1} - z * D_{h-2}.
+
+    D_h has degree floor((h+1)/2) and constant term 1; only the last two
+    are held.
+    """
+    prev, cur = [1], [1]
+    yield cur
+    for _ in range(n_max):
+        prev, cur = cur, [a - b for a, b in zip_longest(cur, [0, *prev], fillvalue=0)]
+        yield cur
+
+
+def _series_ratio(num: list[int], den: list[int], kmax: int) -> list[int]:
+    """num / den mod z**(kmax+1) for a polynomial den with den[0] = 1.
+
+    q[k] = num[k] - sum over j = 1..deg den of den[j] * q[k-j], which is
+    O(kmax * deg den) big-int multiply-adds.
+    """
+    # den[deg], ..., den[1]: the last deg entries of q, read forwards,
+    # meet them in convolution order.  q starts with deg zeros, the
+    # coefficients below z**0, so that window always has deg entries.
+    tail = den[:0:-1]
+    deg = len(tail)
+    q = [0] * deg
+    for k in range(kmax + 1):
+        head = num[k] if k < len(num) else 0
+        q.append(head - sum(map(operator.mul, tail, q[k:])))
+    return q[deg:]
+
+
 def contfrac_rows(n_max: int, kmax: int) -> Iterator[list[int]]:
     """Convergents G_0, G_1, ..., G_{n_max} mod z**(kmax+1), one at a time.
 
-    G_0 = 1 and G_h = 1 / (1 - z * G_{h-1}), each as an integer power
-    series built from the one before; the coefficients of G_n count Dyck
-    paths of height <= n.  Each row is a new list, so a caller may keep it.
+    G_0 = 1 and G_h = 1 / (1 - z * G_{h-1}); the coefficients of G_n
+    count Dyck paths of height <= n.  By the fundamental recurrence of
+    continued fractions (Euler-Wallis; Flajolet, "Combinatorial aspects
+    of continued fractions", 1980) G_h = D_{h-1} / D_h, where
+
+        D_{-1} = D_0 = 1,    D_h = D_{h-1} - z * D_{h-2},
+
+    so row h is one series division by a polynomial of degree
+    floor((h+1)/2): O(kmax * h/2) big-int multiply-adds per row, against
+    O(kmax**2) for inverting 1 - z * G_{h-1} as a dense series.  Each
+    row is a new list, so a caller may keep it.
     """
     if n_max < 0 or kmax < 0:
         raise ValueError(f"bound and kmax must be nonnegative, got n={n_max}, kmax={kmax}")
-    conv = [1] + [0] * kmax
-    yield conv
-    for _ in range(n_max):
-        # invert D = 1 - z * conv: D_0 is 1 and D_j = -conv[j-1], so
-        # inv[k] = sum over j = 1..k of conv[j-1] * inv[k-j]
-        inv = [1]
-        for k in range(1, kmax + 1):
-            inv.append(sum(map(operator.mul, conv[:k], reversed(inv))))
-        conv = inv
-        yield conv
+    num = [1]  # D_{-1}
+    for den in _wallis_denominators(n_max):
+        yield _series_ratio(num, den, kmax)
+        num = den
 
 
 def count_by_contfrac(n: int, kmax: int) -> list[int]:

@@ -20,6 +20,7 @@ from dyckwalk.cli import (
     MAX_TABLE_N,
     MAX_VERIFY_K,
     MAX_VERIFY_N,
+    MAX_WALK_M,
     MAX_WALK_TRIALS,
     main,
 )
@@ -213,6 +214,9 @@ DOMAIN_ERRORS = {
     ("verify", "--n-max", str(MAX_VERIFY_N + 1), "--k-max", "5"):
         {"n_max": MAX_VERIFY_N + 1, "k_max": 5},
     ("verify", "--n-max", "3", "--k-max", str(10 ** 9)): {"n_max": 3, "k_max": 10 ** 9},
+    # exact rationals of about m * log2(3) bits each at this m
+    ("walk", "--m", str(10 ** 11), "--p", "1/3", "--trials", "1"):
+        {"m": 10 ** 11, "p": "1/3", "trials": 1, **WALK_DEFAULTS},
 }
 
 
@@ -231,8 +235,9 @@ def test_ceilings_admit_the_largest_documented_inputs():
     assert MAX_TABLE_N >= 1000
     assert MAX_HPOLY_M >= 20000
     assert MAX_WALK_TRIALS >= 4_000_000
-    assert MAX_VERIFY_N >= 20
-    assert MAX_VERIFY_K >= 300
+    assert MAX_WALK_M >= 2000
+    assert MAX_VERIFY_N >= 100
+    assert MAX_VERIFY_K >= 4000
 
 
 # where the command looks each patched function up when it runs
@@ -346,6 +351,26 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
     )
     assert proc.returncode == 0
     assert proc.stderr.decode().split() == [str(imports_numpy)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "--m", str(MAX_WALK_M + 1), "--p", "1/3", "--trials", "1"),
+        ("walk", "--m", "3", "--p", "1/3", "--trials", str(MAX_WALK_TRIALS + 1)),
+    ],
+)
+def test_walk_ceilings_refuse_before_numpy_loads(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        capture_output=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    *message, imported = proc.stderr.decode().split()
+    assert message[0] == "error:"
+    assert imported == "False"
 
 
 def test_package_loads_the_walk_names_on_first_use():

@@ -1,15 +1,21 @@
 """Independent counting oracles: brute force, transfer DP, convergents."""
 
+import ast
 import math
+import operator
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckwalk import oracle
 from dyckwalk.genfunc import count_table
+from dyckwalk.heightpoly import height_poly
 from dyckwalk.oracle import (
     BRUTEFORCE_MAX_ORDER,
     _maxima_histograms,
+    _wallis_denominators,
     catalan,
     contfrac_rows,
     count_by_contfrac,
@@ -47,6 +53,24 @@ def recursive_histograms(k):
 
     descend(0, 0, 0, 0, False)
     return tuple(by_height), tuple(by_peak)
+
+
+def reference_contfrac_rows(n_max, kmax):
+    """Reference for contfrac_rows: each convergent by inverting a dense series.
+
+    G_0 = 1 and G_h = 1 / (1 - z * G_{h-1}), where 1 - z * G_{h-1} has
+    constant term 1 and coefficient -G_{h-1}[j-1] at z**j, so the inverse
+    is inv[k] = sum over j = 1..k of G_{h-1}[j-1] * inv[k-j]:
+    O(kmax**2) multiply-adds per row.
+    """
+    conv = [1] + [0] * kmax
+    yield conv
+    for _ in range(n_max):
+        inv = [1]
+        for k in range(1, kmax + 1):
+            inv.append(sum(map(operator.mul, conv[:k], reversed(inv))))
+        conv = inv
+        yield conv
 
 
 def reflection_count(n, k):
@@ -194,3 +218,32 @@ def test_counting_routes_agree_cell_by_cell(n, kmax):
         assert dp[k] == convergent[k] == series[k] == expected, (n, k)
         if k <= 12:
             assert count_paths_bruteforce(k, n) == expected, (n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=200))
+def test_convergents_match_the_dense_inversion(n_max, kmax):
+    assert list(contfrac_rows(n_max, kmax)) == list(reference_contfrac_rows(n_max, kmax))
+
+
+def test_wallis_denominators_are_the_height_polynomials():
+    # D_h = D_{h-1} - z * D_{h-2} from D_{-1} = D_0 = 1 is P_{h+2}
+    for h, den in enumerate(_wallis_denominators(200)):
+        assert tuple(den) == height_poly(h + 2), h
+    assert h == 200
+
+
+def test_oracle_imports_nothing_from_the_routes_it_checks():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            # `from . import genfunc` names the module in the alias
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    forbidden = {"heightpoly", "genfunc", "poly"}
+    for name in imported:
+        assert not forbidden & set(name.lstrip(".").split(".")), name
