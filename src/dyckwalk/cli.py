@@ -39,17 +39,21 @@ EXIT_BROKEN_PIPE = 141
 # largest accepted run under about 1 GB and a minute on 2 cores, as
 # measured at the ceiling: table --n 2000 --kmax 4000 in 32 s and 46 MiB,
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 3 --trials
-# 16000000 in 3 s and 620 MiB (walks whose lengths grow with m take
-# longer; --max-steps caps them), walk --m 500000 --p 2/5 --trials 1 in
-# 15-16 s and 34 MiB (its exact rationals, whose bits grow with m times
-# those of p's denominator; m 1000000 took 67 s), verify --n-max 100
+# 16000000 in 1.6 s and 34 MiB, walk --m 500000 --p 2/5 --trials 1 in
+# 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max 100
 # --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most of
-# it; --n-max 150 took 70 s).
+# it; --n-max 150 took 70 s).  Two walk ceilings bound products:
+# m times the bits of an exact p's denominator, which sizes the exact
+# rationals (--m 150000 --p 511/1023 took 50 s, --m 200000 --p 999/1000
+# 74 s), and trials times the expected steps of a walk (--m 1000 --p 1/2
+# --trials 2000000, 2e9 trial-steps, took 58 s at 33 MiB).
 MAX_TABLE_N = 2000
 MAX_TABLE_KMAX = 4000
 MAX_HPOLY_M = 40000
 MAX_WALK_TRIALS = 16_000_000
 MAX_WALK_M = 500_000
+MAX_WALK_EXACT_BITS = 1_500_000
+MAX_WALK_WORK = 2 * 10 ** 9
 MAX_VERIFY_N = 100
 MAX_VERIFY_K = 4000
 
@@ -145,9 +149,55 @@ def _zscore(estimate: float, se: float, exact: float):
     return (estimate - exact) / se
 
 
-def _cmd_walk(args) -> tuple[str, dict, tuple]:
+def _expected_walk_steps(m: int, p: float) -> float:
+    """Expected steps of the walk from m-1 to absorption at 0 or m.
+
+    The gambler's-ruin duration (Feller, vol. 1, XIV.3) from z = m-1:
+    z * (m - z) = m - 1 at p = 1/2, and otherwise, with q = 1 - p and
+    L = log(q/p),
+
+        (z - m * (1 - e**(z L)) / (1 - e**(m L))) / (q - p),
+
+    whose ratio is taken through expm1 so that no power overflows.
+    """
+    q = 1.0 - p
+    # Near p = 1/2 the formula loses its digits to cancellation, while m - 1
+    # is within a factor 1 + m * |q - p| of the duration.
+    if abs(q - p) < 1e-9:
+        return float(m - 1)
+    z, log_r = m - 1, math.log(q / p)
+    if log_r < 0:
+        ratio = math.expm1(z * log_r) / math.expm1(m * log_r)
+    else:  # the same ratio with e**(m L) divided out
+        ratio = math.exp(-log_r) * math.expm1(-z * log_r) / math.expm1(-m * log_r)
+    return (z - m * ratio) / (q - p)
+
+
+def _check_walk_ceilings(args) -> None:
+    """Refuse a walk above a ceiling; all of them are checked before numpy loads."""
     _check_ceiling("--m", args.m, MAX_WALK_M)
     _check_ceiling("--trials", args.trials, MAX_WALK_TRIALS)
+    p_value, p_mode = args.p
+    p_step = float(p_value)
+    if args.m < 2 or not 0 < p_step < 1:
+        return  # WalkConfig names the bad input
+    if p_mode == "exact" and 2 * p_value != 1:
+        bits = args.m * p_value.denominator.bit_length()
+        if bits > MAX_WALK_EXACT_BITS:
+            raise ValueError(
+                f"--m times the bits of p's denominator must be at most "
+                f"{MAX_WALK_EXACT_BITS} for the exact comparison, got {bits}"
+            )
+    work = args.trials * min(_expected_walk_steps(args.m, p_step), args.max_steps)
+    if work > MAX_WALK_WORK:
+        raise ValueError(
+            f"--trials times the expected steps of a walk (at most --max-steps) "
+            f"must be at most {MAX_WALK_WORK:.1e}, got {work:.1e}"
+        )
+
+
+def _cmd_walk(args) -> tuple[str, dict, tuple]:
+    _check_walk_ceilings(args)
     # Imported here, not at the top: only walk needs numpy, whose import
     # would otherwise be most of every other command's start-up.
     from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate

@@ -24,12 +24,14 @@ number.
 simulate() estimates both quantities empirically.  Trial t draws its
 steps from its own splitmix64 stream seeded by mixing (seed, t), so
 results are a pure function of the configuration and independent of
-execution order or batching.  The active trials advance in blocks: one
-numpy pass draws the next B steps of every active trial, with B chosen
-so that active trials x B stays within a fixed budget of draws (B = 1
-while many trials are active, long blocks for the last few).  Trials
-still unresolved after max_steps are counted as truncated and excluded
-from the estimators.
+execution order or batching.  At most a fixed pool of trials is live,
+refilled group by group as trials are absorbed, so memory does not grow
+with the number of trials.  The live trials advance in blocks: one numpy
+pass draws the next B steps of every live trial, with B chosen so that
+live trials x B stays within a fixed budget of draws (B = 1 while many
+trials are live, long blocks for the last few).  Trials still unresolved
+after max_steps are counted as truncated and excluded from the
+estimators.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
 # A different odd constant for per-trial seeding keeps trial streams from
 # being shifted copies of one another.
 _TRIAL_KEY = _U64(0xD1B54A32D192ED03)
-_INV53 = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
-# Draws made in one pass of the simulator (active trials x block length).
+# Draws made in one pass of the simulator (live trials x block length).
 # It bounds the pass's temporaries; while at least this many trials are
-# active they step one at a time, and the last few take long blocks.
+# live they step one at a time, and the last few take long blocks.
 _DRAW_BUDGET = 1 << 13
+# The most trials live at once.  The next group of trial ids is admitted
+# when the live ones fall to half of it, so memory does not grow with
+# cfg.trials, and each pass's arrays stay cache-sized.
+_POOL = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,53 +202,91 @@ def simulate(cfg: WalkConfig) -> WalkStats:
 
     Deterministic for a fixed configuration: trial t consumes the
     splitmix64 stream with initial state seed + (t+1) * key (mod 2**64),
-    one draw per step, regardless of how trials are batched or blocked.
-    Each pass of the loop takes the next B steps of every active trial,
-    B = _DRAW_BUDGET // active (at least 1, at most the steps left before
-    max_steps): a cumulative sum of the B moves gives each trial's
-    positions, the first visit to 0 or m ends the trial, and the ended
-    trials are dropped once per block.
+    one draw per step, regardless of how trials are pooled or blocked.
+    At most _POOL trials are live.  They are admitted in contiguous row
+    ranges (groups) of consecutive trial ids, each with its own birth
+    step, and once the live rows fall to half the pool the next group
+    refills it.  Each row keeps its own stream counter, so a pass draws
+    the same offsets for every row: the next B steps of every live trial,
+    B = _DRAW_BUDGET // live (at least 1, at most the steps the oldest
+    group has left before max_steps).  A cumulative sum of the B moves
+    gives each trial's positions, the first visit to 0 or m ends the
+    trial, and the ended trials are dropped once per pass; a group that
+    reaches max_steps is truncated whole.
     """
-    p_step = float(cfg.p)
+    # A step goes right when the top 53 bits of its draw, read as a
+    # fraction of 2**53, fall below float(p); the same test on the whole
+    # draw compares it with 2**11 * ceil(float(p) * 2**53).
+    below = _U64(math.ceil(float(cfg.p) * 2.0 ** 53) << 11)
     seed = _U64(cfg.seed & _MASK64)
-    states = seed + np.arange(1, cfg.trials + 1, dtype=np.uint64) * _TRIAL_KEY
-    pos = np.full(cfg.trials, cfg.m - 1, dtype=np.int64)
+    start = cfg.m - 1
+    m = cfg.m
+    ctr = np.empty(0, dtype=np.uint64)  # each live row's stream counter
+    pos = np.empty(0, dtype=np.int64)
+    sizes = np.empty(0, dtype=np.int64)  # live rows of each group, oldest first
+    births = np.empty(0, dtype=np.int64)  # the step at which each group was admitted
+    admitted = 0
 
-    hits_right = hits_left = 0
+    hits_right = truncated = 0
     len_sum = len_sqsum = 0  # exact int accumulation over right-absorbed trials
     step = 0
-    while pos.size and step < cfg.max_steps:
-        block = max(1, min(_DRAW_BUDGET // pos.size, cfg.max_steps - step))
-        # draws step+1 .. step+block of every active trial, one row per trial
-        offsets = np.arange(step + 1, step + block + 1, dtype=np.uint64) * _STREAM_STEP
-        draws = _mix64(states[:, None] + offsets)
-        draws >>= _U64(11)
-        paths = np.where(draws * _INV53 < p_step, 1, -1)
-        del draws  # else it outlives the pass, next to the next pass's draws
+    while True:
+        if pos.size <= _POOL // 2 and admitted < cfg.trials:
+            size = min(_POOL - pos.size, cfg.trials - admitted)
+            ids = np.arange(admitted + 1, admitted + size + 1, dtype=np.uint64)
+            ctr = np.concatenate((ctr, seed + ids * _TRIAL_KEY))
+            pos = np.concatenate((pos, np.full(size, start, dtype=np.int64)))
+            sizes = np.append(sizes, size)
+            births = np.append(births, step)
+            admitted += size
+        if not pos.size:
+            break
+        ages = step - births
+        block = max(1, min(_DRAW_BUDGET // pos.size, cfg.max_steps - int(ages[0])))
+        # draws age+1 .. age+block of every live trial, one row per trial
+        offsets = np.arange(1, block + 1, dtype=np.uint64) * _STREAM_STEP
+        # moves of +1 and -1 by arithmetic: np.where branches on each draw
+        paths = np.multiply(_mix64(ctr[:, None] + offsets) < below, 2, dtype=np.int64)
+        paths -= 1
         # Prefix sums along a block of one change nothing, yet numpy makes
         # them one call per row: skipped, they keep B = 1 as fast as a step.
         if block > 1:
             np.cumsum(paths, axis=1, out=paths)
         paths += pos[:, None]
-        at_right = paths == cfg.m
+        at_right = paths == m
         ends = at_right | (paths == 0)
         if block > 1:  # a trial ends at its first visit to 0 or m in the block
             ends &= np.cumsum(ends, axis=1) == 1
         ended = ends.any(axis=1)
-        # right-absorbed trials counted by length, so the sums stay exact ints
-        right_hits = np.count_nonzero(ends & at_right, axis=0)
-        for j in np.flatnonzero(right_hits):
-            length, n_right = step + 1 + int(j), int(right_hits[j])
+        ends &= at_right
+        # right-absorbed trials counted by group and length, so the sums stay exact ints
+        if sizes.size == 1:
+            right_hits = np.count_nonzero(ends, axis=0, keepdims=True)
+            ended_by_group = np.count_nonzero(ended, axis=0, keepdims=True)
+        else:
+            starts = np.cumsum(sizes) - sizes
+            right_hits = np.add.reduceat(ends, starts, axis=0, dtype=np.int64)
+            ended_by_group = np.add.reduceat(ended, starts, dtype=np.int64)
+        for g, j in zip(*np.nonzero(right_hits)):
+            length, n_right = int(ages[g]) + 1 + int(j), int(right_hits[g, j])
             if length % 2 == 0:
                 raise AssertionError(f"even-length success at step {length}")
             hits_right += n_right
             len_sum += n_right * length
             len_sqsum += n_right * length * length
-        hits_left += int(np.count_nonzero(ended) - right_hits.sum())
         keep = ~ended
-        states, pos = states[keep], paths[:, -1][keep]
+        ctr, pos = ctr[keep], paths[:, -1][keep]
+        ctr += offsets[-1]
+        sizes -= ended_by_group
         step += block
-    return _estimate(cfg.trials, hits_right, hits_left, int(pos.size), len_sum, len_sqsum)
+        if step - births[0] == cfg.max_steps:  # the oldest group is truncated whole
+            truncated += int(sizes[0])
+            ctr, pos = ctr[sizes[0]:], pos[sizes[0]:]
+            sizes[0] = 0
+        live = sizes > 0
+        sizes, births = sizes[live], births[live]
+    hits_left = cfg.trials - hits_right - truncated
+    return _estimate(cfg.trials, hits_right, hits_left, truncated, len_sum, len_sqsum)
 
 
 def _estimate(

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,12 @@ DOMAIN_ERRORS = {
     # exact rationals of about m * log2(3) bits each at this m
     ("walk", "--m", str(10 ** 11), "--p", "1/3", "--trials", "1"):
         {"m": 10 ** 11, "p": "1/3", "trials": 1, **WALK_DEFAULTS},
+    # below the --m ceiling, but exact rationals of about m * 10 bits
+    ("walk", "--m", "200000", "--p", "999/1000", "--trials", "1"):
+        {"m": 200000, "p": "999/1000", "trials": 1, **WALK_DEFAULTS},
+    # below both ceilings, but about 3.2e11 trial-steps
+    ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"):
+        {"m": 20000, "p": "1/2", "trials": 16000000, **WALK_DEFAULTS},
 }
 
 
@@ -238,6 +246,52 @@ def test_ceilings_admit_the_largest_documented_inputs():
     assert MAX_WALK_M >= 2000
     assert MAX_VERIFY_N >= 100
     assert MAX_VERIFY_K >= 4000
+    parser = cli._build_parser()
+    for argv in ADMITTED_WALKS:
+        cli._check_walk_ceilings(parser.parse_args(argv))
+
+
+def ruin_duration(m, p):
+    """Expected steps from m-1 to 0 or m, from the first-step equations in exact rationals.
+
+    D_0 = D_m = 0 and D_i = 1 + p D_{i+1} + (1-p) D_{i-1}.  With D_1 left
+    unknown, each D_i is a + b * D_1; D_m = 0 then fixes D_1.
+    """
+    q = 1 - p
+    prev, cur = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))
+    rows = [prev, cur]
+    for _ in range(1, m):
+        prev, cur = cur, ((cur[0] - 1 - q * prev[0]) / p, (cur[1] - q * prev[1]) / p)
+        rows.append(cur)
+    d1 = -rows[m][0] / rows[m][1]
+    return rows[m - 1][0] + rows[m - 1][1] * d1
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(999, 1000), 0.5 + 1e-7]
+)
+def test_expected_walk_steps_is_the_gamblers_ruin_duration(p):
+    for m in (2, 3, 8, 40, 150):
+        expected = float(ruin_duration(m, Fraction(p)))
+        assert cli._expected_walk_steps(m, float(p)) == pytest.approx(expected, rel=1e-9)
+    assert math.isfinite(cli._expected_walk_steps(MAX_WALK_M, float(p)))
+
+
+# the benchmark's walk command lines, and the walks the README runs or measures
+ADMITTED_WALKS = [
+    ["walk", "--m", m, "--p", p, "--trials", trials, "--seed", "1", "--max-steps", str(10 ** 7)]
+    for m, p, trials in [
+        ("2", "1/3", "1000"),
+        ("150", "1/2", "4000"),
+        ("2000", "2/5", "200"),
+        ("3", "1/3", "4000000"),
+        ("8", "2/5", "2000000"),
+    ]
+] + [
+    ["walk", "--m", "3", "--p", "1/3", "--trials", "1000000", "--seed", "42"],
+    ["walk", "--m", "3", "--p", "1/3", "--trials", str(MAX_WALK_TRIALS)],
+    ["walk", "--m", str(MAX_WALK_M), "--p", "2/5", "--trials", "1"],
+]
 
 
 # where the command looks each patched function up when it runs
@@ -358,6 +412,8 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
     [
         ("walk", "--m", str(MAX_WALK_M + 1), "--p", "1/3", "--trials", "1"),
         ("walk", "--m", "3", "--p", "1/3", "--trials", str(MAX_WALK_TRIALS + 1)),
+        ("walk", "--m", "200000", "--p", "999/1000", "--trials", "1"),
+        ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"),
     ],
 )
 def test_walk_ceilings_refuse_before_numpy_loads(argv):

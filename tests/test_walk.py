@@ -1,5 +1,6 @@
 """Absorbing-walk module: exact rational routes and the simulator."""
 
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -220,25 +221,37 @@ def bits(stats):
     return [repr(v) for v in fields]
 
 
-walk_configs = st.builds(
-    WalkConfig,
-    m=st.integers(2, 60),
-    p=st.one_of(
-        st.floats(0, 1, exclude_min=True, exclude_max=True),
-        st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000),
-    ),
-    trials=st.integers(1, 3000),
-    seed=st.integers(),
-    max_steps=st.integers(1, 2000),
-)
+def walk_configs(max_trials):
+    return st.builds(
+        WalkConfig,
+        m=st.integers(2, 60),
+        p=st.one_of(
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+            st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000),
+        ),
+        trials=st.integers(1, max_trials),
+        seed=st.integers(),
+        max_steps=st.integers(1, 2000),
+    )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("budget", [1, walk._DRAW_BUDGET, 1 << 20])
+@pytest.mark.parametrize(
+    "budget, pool",
+    [
+        pytest.param(budget, pool, id=str(budget) if pool == walk._POOL else f"{budget}-pool{pool}")
+        for budget in (1, walk._DRAW_BUDGET, 1 << 20)
+        for pool in (1, 3, walk._POOL)
+    ],
+)
 @settings(max_examples=60, deadline=None)
-@given(cfg=walk_configs)
-def test_block_stepping_matches_the_lockstep_reference(budget, cfg):
-    with mock.patch.object(walk, "_DRAW_BUDGET", budget):
+@given(data=st.data())
+def test_block_stepping_matches_the_lockstep_reference(budget, pool, data):
+    # With a pool of one or three, a new group starts every trial or two,
+    # so 60 pools of trials already cross dozens of admission seams; more
+    # trials would only make the one-step passes of budget 1 slow.
+    cfg = data.draw(walk_configs(min(3000, 60 * pool)))
+    with mock.patch.object(walk, "_DRAW_BUDGET", budget), mock.patch.object(walk, "_POOL", pool):
         assert bits(simulate(cfg)) == bits(lockstep_reference(cfg))
 
 
@@ -251,11 +264,26 @@ def test_block_stepping_matches_the_lockstep_reference(budget, cfg):
             WalkConfig(m=40, p=0.5, trials=3000, seed=11, max_steps=900),
             (2923, 64, 13, "20.913787204926447"),
         ),
+        # a run of many pools, so of many admitted groups
+        (WalkConfig(m=3, p=Fraction(1, 3), trials=10**6, seed=42), (428513, 571487, 0, "1.5731728092263246")),
     ],
 )
 def test_golden_runs(cfg, expected):
     stats = simulate(cfg)
     assert (stats.hits_right, stats.hits_left, stats.truncated, repr(stats.mean_hit_len)) == expected
+
+
+def test_memory_does_not_grow_with_trials():
+    def peak(trials):
+        # numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            simulate(WalkConfig(m=3, p=Fraction(1, 3), trials=trials, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * walk._POOL) <= 1.25 * peak(walk._POOL)
 
 
 class _RightEndMovesOut:
