@@ -38,22 +38,27 @@ EXIT_BROKEN_PIPE = 141
 # Input ceilings, checked before anything is built.  Each keeps the
 # largest accepted run under about 1 GB and a minute on 2 cores, as
 # measured at the ceiling: table --n 2000 --kmax 4000 in 32 s and 46 MiB,
-# hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 3 --trials
-# 16000000 in 1.6 s and 34 MiB, walk --m 500000 --p 2/5 --trials 1 in
-# 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max 100
-# --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most of
-# it; --n-max 150 took 70 s).  Two walk ceilings bound products:
+# hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 500000 --p 2/5
+# --trials 1 in 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max
+# 100 --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most
+# of it; --n-max 150 took 70 s).  Two walk ceilings bound products:
 # m times the bits of an exact p's denominator, which sizes the exact
 # rationals (--m 150000 --p 511/1023 took 50 s, --m 200000 --p 999/1000
-# 74 s), and trials times the expected steps of a walk (--m 1000 --p 1/2
-# --trials 2000000, 2e9 trial-steps, took 58 s at 33 MiB).
+# 74 s), and the work of the trials, which is their time (the simulator's
+# memory does not grow with them).
 MAX_TABLE_N = 2000
 MAX_TABLE_KMAX = 4000
 MAX_HPOLY_M = 40000
-MAX_WALK_TRIALS = 16_000_000
 MAX_WALK_M = 500_000
 MAX_WALK_EXACT_BITS = 1_500_000
-MAX_WALK_WORK = 2 * 10 ** 9
+# A walk's work is trials * (WALK_TRIAL_STEPS + expected steps, at most
+# --max-steps), in trial-steps: admitting and counting a trial costs about
+# two of its steps, so that a unit of work took 21-23 ns from m = 3 to
+# m = 40 (in-process, 2 cores).  At the ceiling --m 1000 --p 1/2 --trials
+# 1498501 took 65 s at 33 MiB, the slowest measured; --m 3000 took 57 s,
+# --m 300 40 s, --m 3 --p 1/3 33 s and --m 2 10 s.
+WALK_TRIAL_STEPS = 2
+MAX_WALK_WORK = 15 * 10 ** 8
 MAX_VERIFY_N = 100
 MAX_VERIFY_K = 4000
 
@@ -176,7 +181,6 @@ def _expected_walk_steps(m: int, p: float) -> float:
 def _check_walk_ceilings(args) -> None:
     """Refuse a walk above a ceiling; all of them are checked before numpy loads."""
     _check_ceiling("--m", args.m, MAX_WALK_M)
-    _check_ceiling("--trials", args.trials, MAX_WALK_TRIALS)
     p_value, p_mode = args.p
     p_step = float(p_value)
     if args.m < 2 or not 0 < p_step < 1:
@@ -188,11 +192,12 @@ def _check_walk_ceilings(args) -> None:
                 f"--m times the bits of p's denominator must be at most "
                 f"{MAX_WALK_EXACT_BITS} for the exact comparison, got {bits}"
             )
-    work = args.trials * min(_expected_walk_steps(args.m, p_step), args.max_steps)
+    steps = min(_expected_walk_steps(args.m, p_step), args.max_steps)
+    work = args.trials * (WALK_TRIAL_STEPS + steps)
     if work > MAX_WALK_WORK:
         raise ValueError(
-            f"--trials times the expected steps of a walk (at most --max-steps) "
-            f"must be at most {MAX_WALK_WORK:.1e}, got {work:.1e}"
+            f"--trials times ({WALK_TRIAL_STEPS} + the expected steps of a walk, at most "
+            f"--max-steps) must be at most {MAX_WALK_WORK:.10g}, got {work:.10g}"
         )
 
 

@@ -51,6 +51,7 @@ _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
 # A different odd constant for per-trial seeding keeps trial streams from
 # being shifted copies of one another.
 _TRIAL_KEY = _U64(0xD1B54A32D192ED03)
+_INV53 = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
 # Draws made in one pass of the simulator (live trials x block length).
 # It bounds the pass's temporaries; while at least this many trials are
@@ -214,13 +215,9 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     trial, and the ended trials are dropped once per pass; a group that
     reaches max_steps is truncated whole.
     """
-    # A step goes right when the top 53 bits of its draw, read as a
-    # fraction of 2**53, fall below float(p); the same test on the whole
-    # draw compares it with 2**11 * ceil(float(p) * 2**53).
-    below = _U64(math.ceil(float(cfg.p) * 2.0 ** 53) << 11)
+    p_step = float(cfg.p)
     seed = _U64(cfg.seed & _MASK64)
     start = cfg.m - 1
-    m = cfg.m
     ctr = np.empty(0, dtype=np.uint64)  # each live row's stream counter
     pos = np.empty(0, dtype=np.int64)
     sizes = np.empty(0, dtype=np.int64)  # live rows of each group, oldest first
@@ -245,28 +242,25 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         block = max(1, min(_DRAW_BUDGET // pos.size, cfg.max_steps - int(ages[0])))
         # draws age+1 .. age+block of every live trial, one row per trial
         offsets = np.arange(1, block + 1, dtype=np.uint64) * _STREAM_STEP
-        # moves of +1 and -1 by arithmetic: np.where branches on each draw
-        paths = np.multiply(_mix64(ctr[:, None] + offsets) < below, 2, dtype=np.int64)
-        paths -= 1
+        draws = _mix64(ctr[:, None] + offsets)
+        draws >>= _U64(11)
+        paths = np.where(draws * _INV53 < p_step, 1, -1)
+        del draws  # else it outlives the pass, next to the next pass's draws
         # Prefix sums along a block of one change nothing, yet numpy makes
         # them one call per row: skipped, they keep B = 1 as fast as a step.
         if block > 1:
             np.cumsum(paths, axis=1, out=paths)
         paths += pos[:, None]
-        at_right = paths == m
+        at_right = paths == cfg.m
         ends = at_right | (paths == 0)
         if block > 1:  # a trial ends at its first visit to 0 or m in the block
             ends &= np.cumsum(ends, axis=1) == 1
         ended = ends.any(axis=1)
         ends &= at_right
         # right-absorbed trials counted by group and length, so the sums stay exact ints
-        if sizes.size == 1:
-            right_hits = np.count_nonzero(ends, axis=0, keepdims=True)
-            ended_by_group = np.count_nonzero(ended, axis=0, keepdims=True)
-        else:
-            starts = np.cumsum(sizes) - sizes
-            right_hits = np.add.reduceat(ends, starts, axis=0, dtype=np.int64)
-            ended_by_group = np.add.reduceat(ended, starts, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        right_hits = np.add.reduceat(ends, starts, axis=0, dtype=np.int64)
+        ended_by_group = np.add.reduceat(ended, starts, dtype=np.int64)
         for g, j in zip(*np.nonzero(right_hits)):
             length, n_right = int(ages[g]) + 1 + int(j), int(right_hits[g, j])
             if length % 2 == 0:

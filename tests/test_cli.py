@@ -23,7 +23,6 @@ from dyckwalk.cli import (
     MAX_VERIFY_K,
     MAX_VERIFY_N,
     MAX_WALK_M,
-    MAX_WALK_TRIALS,
     main,
 )
 from dyckwalk.genfunc import CountTable, DivisibilityError
@@ -242,7 +241,6 @@ def test_ceilings_admit_the_largest_documented_inputs():
     assert MAX_TABLE_KMAX >= 4000
     assert MAX_TABLE_N >= 1000
     assert MAX_HPOLY_M >= 20000
-    assert MAX_WALK_TRIALS >= 4_000_000
     assert MAX_WALK_M >= 2000
     assert MAX_VERIFY_N >= 100
     assert MAX_VERIFY_K >= 4000
@@ -289,8 +287,18 @@ ADMITTED_WALKS = [
     ]
 ] + [
     ["walk", "--m", "3", "--p", "1/3", "--trials", "1000000", "--seed", "42"],
-    ["walk", "--m", "3", "--p", "1/3", "--trials", str(MAX_WALK_TRIALS)],
+    ["walk", "--m", "3", "--p", "1/3", "--trials", "16000000", "--seed", "5"],
     ["walk", "--m", str(MAX_WALK_M), "--p", "2/5", "--trials", "1"],
+] + [
+    # the runs that measured the work ceiling
+    ["walk", "--m", m, "--p", p, "--trials", trials, "--seed", "5"]
+    for m, p, trials in [
+        ("1000", "1/2", "1498501"),
+        ("3000", "1/2", "499833"),
+        ("300", "1/2", "4983388"),
+        ("3", "1/3", "362068965"),
+        ("2", "1/3", "500000000"),
+    ]
 ]
 
 
@@ -411,7 +419,8 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
     "argv",
     [
         ("walk", "--m", str(MAX_WALK_M + 1), "--p", "1/3", "--trials", "1"),
-        ("walk", "--m", "3", "--p", "1/3", "--trials", str(MAX_WALK_TRIALS + 1)),
+        # one step per walk, but each trial's admission counts as well
+        ("walk", "--m", "2", "--p", "1/3", "--trials", "500000001"),
         ("walk", "--m", "200000", "--p", "999/1000", "--trials", "1"),
         ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"),
     ],
