@@ -53,10 +53,11 @@ MAX_WALK_M = 500_000
 MAX_WALK_EXACT_BITS = 1_500_000
 # A walk's work is trials * (WALK_TRIAL_STEPS + expected steps, at most
 # --max-steps), in trial-steps: admitting and counting a trial costs about
-# two of its steps, so that a unit of work took 21-23 ns from m = 3 to
-# m = 40 (in-process, 2 cores).  At the ceiling --m 1000 --p 1/2 --trials
-# 1498501 took 65 s at 33 MiB, the slowest measured; --m 3000 took 57 s,
-# --m 300 40 s, --m 3 --p 1/3 33 s and --m 2 10 s.
+# two of its steps, and a unit of work took 8-19 ns from m = 3 to m = 40
+# (in-process, 2 cores, fastest of three runs).  At the ceiling --m 1000
+# --p 1/2 --trials 1498501 took 57-59 s at 33 MiB, the slowest measured;
+# --m 3000 took 49 s, --m 300 30-31 s, --m 3 --p 1/3 11-14 s and --m 2
+# 6-7 s (two runs each).
 WALK_TRIAL_STEPS = 2
 MAX_WALK_WORK = 15 * 10 ** 8
 MAX_VERIFY_N = 100
@@ -179,12 +180,20 @@ def _expected_walk_steps(m: int, p: float) -> float:
 
 
 def _check_walk_ceilings(args) -> None:
-    """Refuse a walk above a ceiling; all of them are checked before numpy loads."""
+    """Refuse a walk above a ceiling, or one whose exact p the simulator cannot
+    resolve; all of these are checked before numpy loads."""
     _check_ceiling("--m", args.m, MAX_WALK_M)
     p_value, p_mode = args.p
     p_step = float(p_value)
-    if args.m < 2 or not 0 < p_step < 1:
+    if args.m < 2 or not 0 < p_value < 1:
         return  # WalkConfig names the bad input
+    if not 0 < p_step < 1:  # only an exact p rounds out of (0, 1)
+        # The record echoes p; the message gives only its size.
+        raise ValueError(
+            f"p rounds to {int(p_step)} at the simulator's binary64 resolution; it has "
+            f"a {len(str(p_value.numerator))}-digit numerator and a "
+            f"{len(str(p_value.denominator))}-digit denominator"
+        )
     if p_mode == "exact" and 2 * p_value != 1:
         bits = args.m * p_value.denominator.bit_length()
         if bits > MAX_WALK_EXACT_BITS:

@@ -51,15 +51,15 @@ _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
 # A different odd constant for per-trial seeding keeps trial streams from
 # being shifted copies of one another.
 _TRIAL_KEY = _U64(0xD1B54A32D192ED03)
-_INV53 = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
 # Draws made in one pass of the simulator (live trials x block length).
-# It bounds the pass's temporaries; while at least this many trials are
-# live they step one at a time, and the last few take long blocks.
+# With the pool it sizes the pass's buffers; while at least this many
+# trials are live they step one at a time, and the last few take long
+# blocks.
 _DRAW_BUDGET = 1 << 13
 # The most trials live at once.  The next group of trial ids is admitted
 # when the live ones fall to half of it, so memory does not grow with
-# cfg.trials, and each pass's arrays stay cache-sized.
+# cfg.trials, and each pass's buffers stay cache-sized.
 _POOL = 1 << 16
 
 
@@ -68,9 +68,12 @@ class WalkConfig:
     """Parameters of one Monte Carlo run.
 
     p may be a Fraction or a float; the simulator always steps at
-    binary64 resolution (u < float(p) against 53-bit uniforms), so give
-    p as a Fraction only to document intent - exact comparisons are done
-    by the callers via the exact routes.
+    binary64 resolution, so give p as a Fraction only to document intent -
+    exact comparisons are done by the callers via the exact routes.  A
+    step goes right when its 53-bit uniform u falls below float(p), a
+    test made as one integer compare: the 64-bit draw against
+    2**11 * ceil(float(p) * 2**53).  float(p) must lie in (0, 1), which
+    for an exact p near 0 or 1 is a stronger demand than p itself.
     """
 
     m: int
@@ -188,14 +191,34 @@ def walk_length_to_order(length: int) -> int:
     return (length - 1) // 2
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output function, vectorized over uint64 states, in place."""
-    z ^= z >> _U64(30)
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 output function, in place over uint64 states; tmp takes the shifts."""
+    np.right_shift(z, _U64(30), out=tmp)
+    z ^= tmp
     z *= _U64(0xBF58476D1CE4E5B9)
-    z ^= z >> _U64(27)
+    np.right_shift(z, _U64(27), out=tmp)
+    z ^= tmp
     z *= _U64(0x94D049BB133111EB)
-    z ^= z >> _U64(31)
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
     return z
+
+
+def _right_step_bound(p: float) -> int:
+    """The draws below this bound step right, for a binary64 p in (0, 1).
+
+    A draw d steps right when its top 53 bits, scaled to [0, 1), fall
+    below p: (d >> 11) * 2**-53 < p.  Both sides scale exactly, so that is
+    d >> 11 < p * 2**53, which for an integer is d >> 11 < ceil(p * 2**53),
+    that is d < 2**11 * ceil(p * 2**53): one compare of the whole draw.
+    """
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
+def _per_group(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many of the sorted rows fall in each group, given each group's end row."""
+    ends = np.searchsorted(rows, bounds)
+    return ends - np.concatenate(([0], ends[:-1]))
 
 
 def simulate(cfg: WalkConfig) -> WalkStats:
@@ -211,74 +234,107 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     the same offsets for every row: the next B steps of every live trial,
     B = _DRAW_BUDGET // live (at least 1, at most the steps the oldest
     group has left before max_steps).  A cumulative sum of the B moves
-    gives each trial's positions, the first visit to 0 or m ends the
-    trial, and the ended trials are dropped once per pass; a group that
-    reaches max_steps is truncated whole.
+    gives each trial's positions, the first step outside 1..m-1 ends the
+    trial (with moves of one it lands on 0 or m), and the ended trials
+    are dropped once per pass; a group that reaches max_steps is
+    truncated whole.  A pass allocates no array of its live rows x B:
+    that product never passes max(_POOL, _DRAW_BUDGET), the size of the
+    buffers made once per call.
     """
-    p_step = float(cfg.p)
+    pool, budget = _POOL, _DRAW_BUDGET
+    below = _U64(_right_step_bound(float(cfg.p)))
     seed = _U64(cfg.seed & _MASK64)
     start = cfg.m - 1
-    ctr = np.empty(0, dtype=np.uint64)  # each live row's stream counter
-    pos = np.empty(0, dtype=np.int64)
+    m = cfg.m
+    cap = max(pool, budget)
+    ctr = np.empty(cap, dtype=np.uint64)  # each live row's stream counter
+    draws = np.empty(cap, dtype=np.uint64)  # then the next pass's counters (the two swap)
+    spare = np.empty(cap, dtype=np.uint64)  # the mix's shifts, then the paths
+    flags = np.empty(cap, dtype=bool)  # the steps right, then the exits
+    rights = np.empty(cap, dtype=bool)  # the exits at m, in blocks of one
+    pos = np.empty(pool, dtype=np.int64)  # each live row's position minus one
+    offsets = np.arange(1, budget + 1, dtype=np.uint64) * _STREAM_STEP
     sizes = np.empty(0, dtype=np.int64)  # live rows of each group, oldest first
     births = np.empty(0, dtype=np.int64)  # the step at which each group was admitted
-    admitted = 0
+    live = admitted = 0
 
     hits_right = truncated = 0
     len_sum = len_sqsum = 0  # exact int accumulation over right-absorbed trials
     step = 0
     while True:
-        if pos.size <= _POOL // 2 and admitted < cfg.trials:
-            size = min(_POOL - pos.size, cfg.trials - admitted)
-            ids = np.arange(admitted + 1, admitted + size + 1, dtype=np.uint64)
-            ctr = np.concatenate((ctr, seed + ids * _TRIAL_KEY))
-            pos = np.concatenate((pos, np.full(size, start, dtype=np.int64)))
+        if live <= pool // 2 and admitted < cfg.trials:
+            size = min(pool - live, cfg.trials - admitted)
+            # the stream states seed + id * key of the next ids, in place
+            new = ctr[live:live + size]
+            np.multiply(
+                np.arange(admitted + 1, admitted + size + 1, dtype=np.uint64), _TRIAL_KEY, out=new
+            )
+            new += seed
+            pos[live:live + size] = start - 1
             sizes = np.append(sizes, size)
             births = np.append(births, step)
+            live += size
             admitted += size
-        if not pos.size:
+        if not live:
             break
         ages = step - births
-        block = max(1, min(_DRAW_BUDGET // pos.size, cfg.max_steps - int(ages[0])))
+        block = max(1, min(budget // live, cfg.max_steps - int(ages[0])))
+        n = live * block
         # draws age+1 .. age+block of every live trial, one row per trial
-        offsets = np.arange(1, block + 1, dtype=np.uint64) * _STREAM_STEP
-        draws = _mix64(ctr[:, None] + offsets)
-        draws >>= _U64(11)
-        paths = np.where(draws * _INV53 < p_step, 1, -1)
-        del draws  # else it outlives the pass, next to the next pass's draws
+        z = draws[:n]
+        np.add(ctr[:live, None], offsets[:block], out=z.reshape(live, block))
+        _mix64(z, spare[:n])
+        paths = spare[:n].view(np.int64)
+        np.multiply(np.less(z, below, out=flags[:n]), 2, out=paths)
+        paths -= 1
+        paths = paths.reshape(live, block)
         # Prefix sums along a block of one change nothing, yet numpy makes
         # them one call per row: skipped, they keep B = 1 as fast as a step.
         if block > 1:
             np.cumsum(paths, axis=1, out=paths)
-        paths += pos[:, None]
-        at_right = paths == cfg.m
-        ends = at_right | (paths == 0)
-        if block > 1:  # a trial ends at its first visit to 0 or m in the block
-            ends &= np.cumsum(ends, axis=1) == 1
-        ended = ends.any(axis=1)
-        ends &= at_right
+        paths += pos[:live, None]
+        # positions minus one: a step to 0 or m is the first outside 0..m-2
+        exits = np.greater_equal(paths.view(np.uint64), m - 1, out=flags[:n].reshape(live, block))
+        bounds = np.cumsum(sizes)  # each group's end row
         # right-absorbed trials counted by group and length, so the sums stay exact ints
-        starts = np.cumsum(sizes) - sizes
-        right_hits = np.add.reduceat(ends, starts, axis=0, dtype=np.int64)
-        ended_by_group = np.add.reduceat(ended, starts, dtype=np.int64)
-        for g, j in zip(*np.nonzero(right_hits)):
-            length, n_right = int(ages[g]) + 1 + int(j), int(right_hits[g, j])
+        if block > 1:  # a trial ends at its first exit in the block
+            ended = exits.any(axis=1)
+            at = np.flatnonzero(ended)
+            at = at * block + exits.argmax(axis=1)[at]
+            at = at[paths.reshape(n)[at] == m - 1]  # row * block + column of each
+            groups = np.searchsorted(bounds * block, at, side="right")
+            counts = np.bincount(groups * block + at % block)
+        else:
+            ended = exits.reshape(live)
+            at = np.flatnonzero(np.equal(paths, m - 1, out=rights[:n].reshape(live, 1)))
+            counts = _per_group(at, bounds)
+        # Each index array is freed once used (at here, keep below), so that no
+        # two are live at once and none outlives its pass.
+        del at
+        key = np.flatnonzero(counts)  # group * block + column
+        lengths = ages[key // block] + key % block + 1
+        for length, n_right in zip(lengths.tolist(), counts[key].tolist()):
             if length % 2 == 0:
                 raise AssertionError(f"even-length success at step {length}")
             hits_right += n_right
             len_sum += n_right * length
             len_sqsum += n_right * length * length
-        keep = ~ended
-        ctr, pos = ctr[keep], paths[:, -1][keep]
-        ctr += offsets[-1]
-        sizes -= ended_by_group
+        kept = np.logical_not(ended, out=ended)
+        if ages[0] + block == cfg.max_steps:  # the oldest group is truncated whole
+            truncated += int(np.count_nonzero(kept[:sizes[0]]))
+            kept[:sizes[0]] = False
+        keep = np.flatnonzero(kept)
+        live = keep.size
+        # mode="clip" writes straight into out, where the default buffers it
+        np.take(paths[:, -1], keep, out=pos[:live], mode="clip")
+        np.take(ctr, keep, out=draws[:live], mode="clip")
+        ctr, draws = draws, ctr
+        ctr[:live] += offsets[block - 1]
+        sizes = _per_group(keep, bounds)
+        del keep
         step += block
-        if step - births[0] == cfg.max_steps:  # the oldest group is truncated whole
-            truncated += int(sizes[0])
-            ctr, pos = ctr[sizes[0]:], pos[sizes[0]:]
-            sizes[0] = 0
-        live = sizes > 0
-        sizes, births = sizes[live], births[live]
+        alive = sizes > 0
+        sizes, births = sizes[alive], births[alive]
     hits_left = cfg.trials - hits_right - truncated
     return _estimate(cfg.trials, hits_right, hits_left, truncated, len_sum, len_sqsum)
 

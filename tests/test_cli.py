@@ -193,6 +193,10 @@ def test_hpoly_base_case(capsys):
 
 WALK_DEFAULTS = {"seed": 0, "max_steps": 10 ** 7}
 
+# 1/10^400 and 1 - 1/10^30, in the lowest terms the record echoes
+P_ROUNDS_TO_0 = "1/1" + "0" * 400
+P_ROUNDS_TO_1 = "9" * 30 + "/1" + "0" * 30
+
 # argv -> the parameters an ok record of the same flags would echo
 DOMAIN_ERRORS = {
     ("table", "--n", "-1", "--kmax", "5"): {"n": -1, "kmax": 5},
@@ -224,6 +228,11 @@ DOMAIN_ERRORS = {
     # below both ceilings, but about 3.2e11 trial-steps
     ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"):
         {"m": 20000, "p": "1/2", "trials": 16000000, **WALK_DEFAULTS},
+    # exact p in (0, 1) whose binary64 value is 0 or 1
+    ("walk", "--m", "5", "--p", P_ROUNDS_TO_0, "--trials", "10"):
+        {"m": 5, "p": P_ROUNDS_TO_0, "trials": 10, **WALK_DEFAULTS},
+    ("walk", "--m", "5", "--p", P_ROUNDS_TO_1, "--trials", "10"):
+        {"m": 5, "p": P_ROUNDS_TO_1, "trials": 10, **WALK_DEFAULTS},
 }
 
 
@@ -423,6 +432,8 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
         ("walk", "--m", "2", "--p", "1/3", "--trials", "500000001"),
         ("walk", "--m", "200000", "--p", "999/1000", "--trials", "1"),
         ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"),
+        ("walk", "--m", "5", "--p", P_ROUNDS_TO_0, "--trials", "10"),
+        ("walk", "--m", "5", "--p", P_ROUNDS_TO_1, "--trials", "10"),
     ],
 )
 def test_walk_ceilings_refuse_before_numpy_loads(argv):
@@ -436,6 +447,20 @@ def test_walk_ceilings_refuse_before_numpy_loads(argv):
     *message, imported = proc.stderr.decode().split()
     assert message[0] == "error:"
     assert imported == "False"
+
+
+@pytest.mark.parametrize(
+    "p, rounds_to, digits",
+    [(P_ROUNDS_TO_0, 0, (1, 401)), (P_ROUNDS_TO_1, 1, (30, 31))],
+    ids=["to-0", "to-1"],
+)
+def test_exact_p_that_binary64_cannot_resolve_is_named_by_its_size(capsys, p, rounds_to, digits):
+    code, _, err = run_cli(capsys, "walk", "--m", "5", "--p", p, "--trials", "10")
+    assert code == 2
+    assert err == (
+        f"error: p rounds to {rounds_to} at the simulator's binary64 resolution; it has "
+        f"a {digits[0]}-digit numerator and a {digits[1]}-digit denominator\n"
+    )
 
 
 def test_package_loads_the_walk_names_on_first_use():

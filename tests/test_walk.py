@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckwalk import walk
@@ -183,6 +183,25 @@ def test_tiny_step_cap_reports_truncations():
     assert stats.hits_right + stats.hits_left + stats.truncated == 1000
 
 
+@settings(max_examples=500)
+@given(
+    p=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    d=st.integers(0, 2**64 - 1),
+    offset=st.integers(-2**12, 2**12),
+)
+@example(p=5e-324, d=0, offset=0)  # the least positive float
+@example(p=2.0**-53, d=0, offset=0)
+@example(p=1 - 2.0**-53, d=2**64 - 1, offset=0)  # the greatest float below 1
+@example(p=0.5, d=2**63, offset=0)
+@example(p=0.1, d=0, offset=0)  # p * 2**53 is not an integer
+def test_the_integer_step_test_is_the_float_one(p, d, offset):
+    below = walk._right_step_bound(p)
+    assert 0 < below < 2**64  # a uint64, as the simulator compares it
+    for draw in (d, below - 1, below, below + offset):
+        draw = min(max(draw, 0), 2**64 - 1)
+        assert (draw < below) == ((draw >> 11) * 2.0**-53 < p), draw
+
+
 def lockstep_reference(cfg):
     """The simulator one step per loop iteration: the exact sums behind WalkStats.
 
@@ -266,6 +285,8 @@ def test_block_stepping_matches_the_lockstep_reference(budget, pool, data):
         ),
         # a run of many pools, so of many admitted groups
         (WalkConfig(m=3, p=Fraction(1, 3), trials=10**6, seed=42), (428513, 571487, 0, "1.5731728092263246")),
+        # the second bulk regime, across several admissions
+        (WalkConfig(m=8, p=Fraction(2, 5), trials=2**18, seed=8), (171430, 90714, 0, "3.900484162631978")),
     ],
 )
 def test_golden_runs(cfg, expected):
@@ -284,6 +305,19 @@ def test_memory_does_not_grow_with_trials():
             tracemalloc.stop()
 
     assert peak(4 * walk._POOL) <= 1.25 * peak(walk._POOL)
+
+
+def test_footprint_is_a_few_pool_sized_arrays():
+    # The pass works in buffers made once per call (four of _POOL 64-bit
+    # words, three small ones) and frees each index array once it is used;
+    # the peak, 5.38 arrays of _POOL int64s, comes at the first admission.
+    tracemalloc.start()
+    try:
+        simulate(WalkConfig(m=3, p=Fraction(1, 3), trials=4 * walk._POOL, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * walk._POOL
 
 
 class _RightEndMovesOut:
