@@ -37,7 +37,10 @@ EXIT_BROKEN_PIPE = 141
 
 # Input ceilings, checked before anything is built.  Each keeps the
 # largest accepted run under about 1 GB and a minute on 2 cores, as
-# measured at the ceiling: table --n 2000 --kmax 4000 in 32 s and 46 MiB,
+# measured at the ceiling: table --n 1997 --kmax 4000 in 17-41 s and
+# 32 MiB (n+2 = 1999 is prime, so its P_{n+2} is not split into divisor
+# factors and this is the slowest table; --n 2000 --kmax 4000 takes
+# 8-18 s; the ranges are a quiet and a loaded host),
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 500000 --p 2/5
 # --trials 1 in 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max
 # 100 --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most
@@ -51,14 +54,15 @@ MAX_TABLE_KMAX = 4000
 MAX_HPOLY_M = 40000
 MAX_WALK_M = 500_000
 MAX_WALK_EXACT_BITS = 1_500_000
-# A walk's work is trials * (WALK_TRIAL_STEPS + expected steps, at most
-# --max-steps), in trial-steps: admitting and counting a trial costs about
-# two of its steps, and a unit of work took 8-19 ns from m = 3 to m = 40
-# (in-process, 2 cores, fastest of three runs).  At the ceiling --m 1000
-# --p 1/2 --trials 1498501 took 57-59 s at 33 MiB, the slowest measured;
-# --m 3000 took 49 s, --m 300 30-31 s, --m 3 --p 1/3 11-14 s and --m 2
-# 6-7 s (two runs each).
-WALK_TRIAL_STEPS = 2
+# A walk's work is trials * (expected steps, at most --max-steps), in
+# trial-steps.  A trial's admission and counting add no measurable time to
+# its steps: a trial-step took 11.1-13.2 ns from m = 2 to m = 40, trials
+# of one step included, and 19 ns at m = 1000 (in-process, 2 cores,
+# fastest of three runs), so trials carry no extra weight.  At the ceiling
+# --m 1000 --p 1/2 --trials 1501501 took 50 s at 33 MiB, the slowest
+# measured; --m 3000 took 41 s, --m 300 30 s, --m 3 --p 1/3 (700 million
+# trials) 22 s, --m 2 (1.5 billion) 20 s and --m 1000 --max-steps 1 (1.5
+# billion) 19 s, all at 32-33 MiB (--seed 5).
 MAX_WALK_WORK = 15 * 10 ** 8
 MAX_VERIFY_N = 100
 MAX_VERIFY_K = 4000
@@ -202,11 +206,11 @@ def _check_walk_ceilings(args) -> None:
                 f"{MAX_WALK_EXACT_BITS} for the exact comparison, got {bits}"
             )
     steps = min(_expected_walk_steps(args.m, p_step), args.max_steps)
-    work = args.trials * (WALK_TRIAL_STEPS + steps)
+    work = args.trials * steps
     if work > MAX_WALK_WORK:
         raise ValueError(
-            f"--trials times ({WALK_TRIAL_STEPS} + the expected steps of a walk, at most "
-            f"--max-steps) must be at most {MAX_WALK_WORK:.10g}, got {work:.10g}"
+            f"--trials times the expected steps of a walk, at most --max-steps, "
+            f"must be at most {MAX_WALK_WORK:.10g}, got {work:.10g}"
         )
 
 

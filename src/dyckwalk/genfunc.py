@@ -13,17 +13,25 @@ coefficients c_k (the denominator has constant term 1), and the theory
 guarantees every c_k is divisible by 2k+1; the quotients are the counts.
 Divisibility is checked on every extraction, so a failure can only mean
 an implementation bug and raises DivisibilityError rather than rounding.
+
+The denominator is never expanded.  count_table divides the numerator
+by P_{n+2} twice and then by 1 - 4x, and P_{n+2} itself goes in as
+groups of its divisor factors (heightpoly.height_factors), whose
+coefficients are far shorter than its own; the long divisions are bound
+by big-int multiplication, so shorter divisors make them cheaper.  All
+of it is series arithmetic mod x**(kmax+1) through poly.series_coeffs.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Sequence
 
-from .heightpoly import height_poly
-from .poly import IntPoly, add, mul, shift
+from .heightpoly import height_factors, height_poly
+from .poly import IntPoly, mul, series_coeffs
 
 _ONE_MINUS_4X: IntPoly = (1, -4)
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 class DivisibilityError(ArithmeticError):
@@ -43,10 +51,16 @@ class CountTable:
 
 
 def series_numerator(n: int) -> IntPoly:
-    """Numerator polynomial (-2n-3) * x**(n+1) + P_{2n+3}(x)."""
+    """Numerator polynomial (-2n-3) * x**(n+1) + P_{2n+3}(x).
+
+    P_{2n+3} has degree n+1 and leading coefficient +-1, so the sum is
+    one edit of its last coefficient and stays nonzero there.
+    """
     if n < 0:
         raise ValueError(f"height bound must be nonnegative, got {n}")
-    return add(shift((-2 * n - 3,), n + 1), height_poly(2 * n + 3))
+    coeffs = list(height_poly(2 * n + 3))
+    coeffs[n + 1] -= 2 * n + 3
+    return tuple(coeffs)
 
 
 def series_denominator(n: int) -> IntPoly:
@@ -55,28 +69,6 @@ def series_denominator(n: int) -> IntPoly:
         raise ValueError(f"height bound must be nonnegative, got {n}")
     h = height_poly(n + 2)
     return mul(_ONE_MINUS_4X, mul(h, h))
-
-
-def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
-    """First kmax+1 coefficients of num/den as a formal power series.
-
-    num may be a polynomial or a series already cut after x**kmax.
-    Requires den to have constant term 1, which makes every coefficient
-    an integer via the linear recurrence
-
-        c_k = num_k - sum_{j=1..k} den_j * c_{k-j}.
-    """
-    if not den or den[0] != 1:
-        raise ValueError("denominator must have constant term 1")
-    if kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {kmax}")
-    coeffs = [0] * (kmax + 1)
-    for k in range(kmax + 1):
-        acc = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * coeffs[k - j]
-        coeffs[k] = acc
-    return coeffs
 
 
 def counts_from_series(coeffs: list[int]) -> tuple[int, ...]:
@@ -92,18 +84,58 @@ def counts_from_series(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _pass_cost(group: IntPoly, kmax: int) -> int:
+    """Digit multiplies per series digit of one division by group.
+
+    Coefficient j of the divisor meets kmax+1-j coefficients of the series.
+    """
+    return sum(
+        (kmax + 1 - j) * -(-c.bit_length() // _DIGIT_BITS)
+        for j, c in enumerate(group[:kmax + 1])
+    )
+
+
+def _division_groups(m: int, kmax: int) -> list[IntPoly]:
+    """Polynomials whose product is P_m mod x**(kmax+1), to divide by in turn.
+
+    The factors R_d of P_m (heightpoly.height_factors) are taken in
+    ascending degree, and the next one joins the current group while the
+    joined group costs no more to divide by than the two apart.  P_m is
+    kept whole when its coefficients each fit in one digit, where
+    factors would only add passes, or when its degree passes kmax, where
+    the cut factors cost more to build and divide by than the cut P_m:
+    count_table(2000, 300) takes 0.14 s split against 0.04 s whole.
+    """
+    whole = height_poly(m)
+    if len(whole) - 1 > kmax or max(map(abs, whole)).bit_length() <= _DIGIT_BITS:
+        return [whole]
+    groups: list[IntPoly] = []
+    for factor in sorted(height_factors(m, kmax), key=len):
+        if groups:
+            joined = mul(groups[-1], factor)[:kmax + 1]
+            if _pass_cost(joined, kmax) <= _pass_cost(groups[-1], kmax) + _pass_cost(factor, kmax):
+                groups[-1] = joined
+                continue
+        groups.append(factor)
+    return groups
+
+
 def count_table(n: int, kmax: int) -> CountTable:
     """Exact A(n, 0..kmax) extracted from the closed form.
 
-    The numerator is divided by the denominator's factors one at a time,
-    P_{n+2}, P_{n+2} again, then 1 - 4x, rather than by their product:
-    the same integer series, but the long divisions multiply by the
-    coefficients of P_{n+2}, which have half the bits of those of
-    P_{n+2}**2.
+    The numerator is divided by the denominator's factors one at a time
+    rather than by their product: by each group of P_{n+2}'s divisor
+    factors twice (see _division_groups), then by 1 - 4x.  Every
+    division is exact series arithmetic mod x**(kmax+1), so the
+    quotient is the same integer series as one division by
+    (1 - 4x) * P_{n+2}**2, but the long divisions multiply by
+    coefficients with a fraction of the bits: P_1002 has 8,501 30-bit
+    digits of coefficients, its six factors 2,503 over the same degree.
+    A prime n+2 gives one factor, P_{n+2} itself.
     """
-    num = series_numerator(n)
-    h = height_poly(n + 2)
-    series = series_coeffs(num, h, kmax)
-    series = series_coeffs(series, h, kmax)
+    series = series_numerator(n)
+    for group in _division_groups(n + 2, kmax):
+        series = series_coeffs(series, group, kmax)
+        series = series_coeffs(series, group, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
     return CountTable(n=n, kmax=kmax, counts=counts_from_series(series))

@@ -18,6 +18,15 @@ planted plane trees", 1972).  ``height_poly_coeff(m, j)`` evaluates one
 coefficient by math.comb, and the recurrence itself is kept in the tests
 as the cross-check.
 
+Like the Fibonacci polynomials, P_m factors over the integers by the
+divisors of m: P_d divides P_m when d divides m, and P_m is irreducible
+when m is prime (Webb and Parberry, "Divisibility properties of Fibonacci
+polynomials", Fibonacci Quarterly 7, 1969).  ``height_factors(m, kmax)``
+returns the Moebius factors R_d, one for each divisor d >= 3 of m, of
+degree phi(d)/2 and with far smaller coefficients than P_m:
+
+    P_m = prod_{d | m, d >= 3} R_d,        R_d = P_d / prod_{e | d, 3 <= e < d} R_e.
+
 The same module evaluates the exact rational quantities that the
 polynomials encode for an asymmetric walk with step-right probability p:
 
@@ -38,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import IntPoly
+from .poly import IntPoly, normalize, series_coeffs
 
 
 def height_poly(m: int) -> IntPoly:
@@ -61,6 +70,31 @@ def height_poly(m: int) -> IntPoly:
         c = c * -((n - 2 * j) * (n - 2 * j - 1)) // ((j + 1) * (n - j))
         coeffs.append(c)
     return tuple(coeffs)
+
+
+def height_factors(m: int, kmax: int) -> list[IntPoly]:
+    """The factors R_d of P_m, for the divisors d >= 3 of m in ascending
+    order, each cut after x**kmax.
+
+    R_d is the series quotient of P_d by the R_e of the divisors
+    3 <= e < d of d, mod x**(kmax+1), with its trailing zeros trimmed.
+    So the factors multiply to P_m mod x**(kmax+1) by construction,
+    whatever the divisibility theory says; the theory only explains why
+    the quotients are short polynomials (exact when kmax >= deg P_m).
+    """
+    if m < 1:
+        raise ValueError(f"index must be a positive integer, got {m}")
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
+    divisors = [d for d in range(3, m + 1) if m % d == 0]
+    factors: dict[int, IntPoly] = {}
+    for i, d in enumerate(divisors):
+        series = height_poly(d)[:kmax + 1]
+        for e in divisors[:i]:
+            if d % e == 0:
+                series = series_coeffs(series, factors[e], kmax)
+        factors[d] = normalize(series)
+    return list(factors.values())
 
 
 def height_poly_coeff(m: int, j: int) -> int:

@@ -302,13 +302,13 @@ ADMITTED_WALKS = [
     # the runs that measured the work ceiling
     ["walk", "--m", m, "--p", p, "--trials", trials, "--seed", "5"]
     for m, p, trials in [
-        ("1000", "1/2", "1498501"),
-        ("3000", "1/2", "499833"),
-        ("300", "1/2", "4983388"),
-        ("3", "1/3", "362068965"),
-        ("2", "1/3", "500000000"),
+        ("1000", "1/2", "1501501"),
+        ("3000", "1/2", "500166"),
+        ("300", "1/2", "5016722"),
+        ("3", "1/3", "699999999"),
+        ("2", "1/3", "1499999999"),
     ]
-]
+] + [["walk", "--m", "1000", "--p", "1/2", "--trials", "1500000000", "--max-steps", "1", "--seed", "5"]]
 
 
 # where the command looks each patched function up when it runs
@@ -428,8 +428,8 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
     "argv",
     [
         ("walk", "--m", str(MAX_WALK_M + 1), "--p", "1/3", "--trials", "1"),
-        # one step per walk, but each trial's admission counts as well
-        ("walk", "--m", "2", "--p", "1/3", "--trials", "500000001"),
+        # one step per walk, one trial past the work ceiling
+        ("walk", "--m", "2", "--p", "1/3", "--trials", "1500000001"),
         ("walk", "--m", "200000", "--p", "999/1000", "--trials", "1"),
         ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"),
         ("walk", "--m", "5", "--p", P_ROUNDS_TO_0, "--trials", "10"),

@@ -1,19 +1,22 @@
 """Closed-form series extraction and the exact count table."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckwalk.genfunc import (
     CountTable,
     DivisibilityError,
+    _division_groups,
     count_table,
     counts_from_series,
     series_coeffs,
     series_denominator,
     series_numerator,
 )
+from dyckwalk.heightpoly import height_poly
 from dyckwalk.oracle import catalan, count_paths_dp
+from dyckwalk.poly import mul
 
 
 @pytest.mark.parametrize(
@@ -139,3 +142,51 @@ def test_factor_by_factor_division_equals_one_division_by_the_product(n, kmax):
     # reference divides once by the expanded (1 - 4x) * P_{n+2}**2
     single = series_coeffs(series_numerator(n), series_denominator(n), kmax)
     assert count_table(n, kmax).counts == counts_from_series(single)
+
+
+# The smallest n whose P_{n+2} has a coefficient past one 30-bit digit,
+# below which count_table divides by P_{n+2} whole.
+FIRST_SPLIT_N = 47
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=FIRST_SPLIT_N, max_value=500), st.integers(min_value=0, max_value=40))
+@example(n=497, extra=0)  # n + 2 = 499 is prime: one factor
+@example(n=498, extra=3)  # n + 2 = 500 = 2^2 * 5^3: ten factors
+@example(n=FIRST_SPLIT_N, extra=0)  # n + 2 = 49 = 7^2
+def test_divisor_factor_division_equals_one_division_by_the_product(n, extra):
+    # kmax >= deg P_{n+2}, so the factors are built and grouped
+    kmax = (n + 1) // 2 + extra
+    single = series_coeffs(series_numerator(n), series_denominator(n), kmax)
+    assert count_table(n, kmax).counts == counts_from_series(single)
+
+
+def cut_product(groups, kmax):
+    out = (1,)
+    for g in groups:
+        out = mul(out, g)[:kmax + 1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, kmax, many",
+    [(1000, 2000, True), (100, 4000, True), (998, 500, True)]
+    + [(n, kmax, False) for n in range(0, 41) for kmax in (300, 2000)]
+    + [(2000, 300, False), (2000, 999, False), (1000, 100, False), (200, 50, False)],
+)
+def test_division_groups_shape(n, kmax, many):
+    # many groups when P_{n+2} splits and its degree is within kmax; one,
+    # P_{n+2} itself, when its coefficients fit one digit or it passes kmax
+    groups = _division_groups(n + 2, kmax)
+    assert (len(groups) > 1) == many
+    if not many:
+        assert groups == [height_poly(n + 2)]
+    assert cut_product(groups, kmax) == height_poly(n + 2)[:kmax + 1]
+
+
+def test_division_groups_join_only_what_is_cheaper_joined():
+    # P_1002's factors R_3, R_6, R_167, R_334, R_501, R_1002 have degrees
+    # 1, 1, 83, 83, 166, 166: the two linear ones cost less as one
+    # quadratic, and every larger join costs more than its parts
+    groups = _division_groups(1002, 2000)
+    assert [len(g) - 1 for g in groups] == [2, 83, 83, 166, 166]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dyckwalk.heightpoly import (
     check_step_probability,
+    height_factors,
     height_poly,
     height_poly_coeff,
     power_diff,
@@ -30,6 +31,17 @@ def recurrence_height_poly(m: int) -> tuple[int, ...]:
     for _ in range(3, m + 1):
         prev, cur = cur, add(cur, mul((0, -1), prev))
     return cur
+
+
+def totient(d: int) -> int:
+    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+
+def product(polys) -> tuple[int, ...]:
+    out = (1,)
+    for f in polys:
+        out = mul(out, f)
+    return out
 
 
 def random_probability(rng: random.Random) -> Fraction:
@@ -104,6 +116,37 @@ def test_large_index_matches_binomials_and_keeps_nothing():
         tracemalloc.stop()
     # P_20000 itself holds about 10 MB of coefficients
     assert retained < 64 * 1024
+
+
+@pytest.mark.parametrize("m", range(3, 301))
+def test_divisor_factors_multiply_to_the_height_polynomial(m):
+    divisors = [d for d in range(3, m + 1) if m % d == 0]
+    factors = height_factors(m, (m - 1) // 2)
+    assert product(factors) == height_poly(m)
+    assert len(factors) == len(divisors)
+    for d, factor in zip(divisors, factors):
+        assert factor[0] == 1
+        assert len(factor) - 1 == totient(d) // 2, d
+    if all(m % d for d in range(2, m)):
+        assert factors == [height_poly(m)]
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=250))
+def test_factors_cut_at_kmax_multiply_to_the_cut_polynomial(m, kmax):
+    assert product(height_factors(m, kmax))[:kmax + 1] == height_poly(m)[:kmax + 1]
+
+
+def test_factors_of_the_first_two_indices_are_none():
+    assert height_factors(1, 5) == []
+    assert height_factors(2, 5) == []
+
+
+def test_factors_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        height_factors(0, 5)
+    with pytest.raises(ValueError):
+        height_factors(6, -1)
 
 
 def test_coeff_out_of_range_is_zero():

@@ -4,12 +4,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyckwalk.poly import ONE, ZERO, add, eval_at, mul, normalize, shift
+from dyckwalk.poly import ONE, ZERO, add, eval_at, mul, normalize, series_coeffs, shift
 
 
 def random_poly(rng: random.Random) -> tuple[int, ...]:
     return normalize(rng.randint(-50, 50) for _ in range(rng.randint(0, 9)))
+
+
+def reference_series_coeffs(num, den, kmax):
+    """num/den mod x**(kmax+1) by the plain double loop of the recurrence
+
+        c_k = num_k - sum_{j=1..k} den_j * c_{k-j},
+
+    the reference for series_coeffs, whose inner sums run in C.
+    """
+    coeffs = [0] * (kmax + 1)
+    for k in range(kmax + 1):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * coeffs[k - j]
+        coeffs[k] = acc
+    return coeffs
 
 
 def random_point(rng: random.Random) -> Fraction:
@@ -94,3 +112,18 @@ def test_evaluation_is_a_ring_homomorphism(seed):
         assert eval_at(add(a, b), q) == eval_at(a, q) + eval_at(b, q)
         assert eval_at(mul(a, b), q) == eval_at(a, q) * eval_at(b, q)
         assert eval_at(shift(a, 2), q) == eval_at(a, q) * q * q
+
+
+big_ints = st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(big_ints, max_size=30),
+    st.lists(big_ints, max_size=30),
+    st.integers(min_value=0, max_value=40),
+)
+def test_series_coeffs_equals_the_double_loop(num, den_tail, kmax):
+    # numerators and denominators both shorter and longer than the cut
+    den = (1, *den_tail)
+    assert series_coeffs(num, den, kmax) == reference_series_coeffs(num, den, kmax)
