@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .genfunc import DivisibilityError, count_table
 from .heightpoly import height_poly
@@ -97,6 +96,9 @@ def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
 
 def _parse_p(text: str):
     """'a/b' gives an exact Fraction, a decimal literal a plain float."""
+    # Imported here: fractions loads decimal, which only walk needs.
+    from fractions import Fraction
+
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -123,15 +125,22 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
     mismatches = []
     cells = 0
     # One row per route and height bound: the series, one DP pass and the
-    # next convergent of one continued-fraction sweep.
+    # next convergent of one continued-fraction sweep.  Rows are compared
+    # whole, and cell by cell only when they disagree.
     for n, contfrac in enumerate(contfrac_rows(args.n_max, args.k_max)):
-        counts = count_table(n, args.k_max).counts
+        series = list(count_table(n, args.k_max).counts)
         dp = count_row_dp(n, args.k_max)
+        brute = [
+            count_paths_bruteforce(k, n)
+            for k in range(min(args.k_max, BRUTEFORCE_MAX_ORDER) + 1)
+        ]
+        cells += args.k_max + 1
+        if series == dp == contfrac and brute == dp[:len(brute)]:
+            continue
         for k in range(args.k_max + 1):
-            cells += 1
-            routes = {"series": counts[k], "dp": dp[k], "contfrac": contfrac[k]}
-            if k <= BRUTEFORCE_MAX_ORDER:
-                routes["bruteforce"] = count_paths_bruteforce(k, n)
+            routes = {"series": series[k], "dp": dp[k], "contfrac": contfrac[k]}
+            if k < len(brute):
+                routes["bruteforce"] = brute[k]
             if len(set(routes.values())) > 1:
                 mismatches.append({"n": n, "k": k} | {r: str(v) for r, v in routes.items()})
     status = "ok" if not mismatches else "mismatch"

@@ -25,7 +25,7 @@ of it is series arithmetic mod x**(kmax+1) through poly.series_coeffs.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .heightpoly import height_factors, height_poly
 from .poly import IntPoly, mul, series_coeffs
@@ -41,8 +41,7 @@ class DivisibilityError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Counts A(n, k) for one height bound n and 0 <= k <= kmax."""
 
     n: int

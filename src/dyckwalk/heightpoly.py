@@ -45,9 +45,12 @@ enters every denominator downstream.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .poly import IntPoly, normalize, series_coeffs
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def height_poly(m: int) -> IntPoly:
@@ -77,10 +80,16 @@ def height_factors(m: int, kmax: int) -> list[IntPoly]:
     order, each cut after x**kmax.
 
     R_d is the series quotient of P_d by the R_e of the divisors
-    3 <= e < d of d, mod x**(kmax+1), with its trailing zeros trimmed.
-    So the factors multiply to P_m mod x**(kmax+1) by construction,
-    whatever the divisibility theory says; the theory only explains why
-    the quotients are short polynomials (exact when kmax >= deg P_m).
+    3 <= e < d of d, mod x**(t+1) with t = min(kmax, deg P_d), with its
+    trailing zeros trimmed.  So the factors multiply to P_m mod
+    x**(kmax+1) by construction, whatever the divisibility theory says.
+    When deg P_d <= kmax the quotient must also have degree at most
+    deg P_d - sum of deg R_e: then R_d times the R_e has degree at most
+    deg P_d and agrees with P_d mod x**(deg P_d + 1), so it is P_d, and
+    the division is exact.  A quotient that fails this raises
+    AssertionError, which only a bug can cause; by the theory its degree
+    is phi(d)/2.  Dividing no further than deg P_d skips the zero tail
+    that a division to x**kmax would spend most of its work on.
     """
     if m < 1:
         raise ValueError(f"index must be a positive integer, got {m}")
@@ -89,11 +98,20 @@ def height_factors(m: int, kmax: int) -> list[IntPoly]:
     divisors = [d for d in range(3, m + 1) if m % d == 0]
     factors: dict[int, IntPoly] = {}
     for i, d in enumerate(divisors):
-        series = height_poly(d)[:kmax + 1]
+        poly = height_poly(d)
+        cut = min(kmax, len(poly) - 1)
+        series = poly[:cut + 1]
+        room = len(poly) - 1  # deg P_d less the degrees divided out
         for e in divisors[:i]:
             if d % e == 0:
-                series = series_coeffs(series, factors[e], kmax)
+                series = series_coeffs(series, factors[e], cut)
+                room -= len(factors[e]) - 1
         factors[d] = normalize(series)
+        if len(poly) - 1 <= kmax and len(factors[d]) - 1 > room:
+            raise AssertionError(
+                f"P_{d} is not divisible by the factors of its divisors: "
+                f"the quotient has degree {len(factors[d]) - 1}, above {room}"
+            )
     return list(factors.values())
 
 

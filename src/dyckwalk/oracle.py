@@ -60,6 +60,22 @@ def _half_walks(k: int) -> list[list[tuple[int, int, bool]]]:
     return by_end
 
 
+def _byte_counts(path_bytes: bytes, values: range) -> list[tuple[int, int]]:
+    """(value, count) for each byte value in values, which must hold them all.
+
+    A count that falls short of the bytes means a byte outside values,
+    which only a bug can put there.
+    """
+    counts = [(value, path_bytes.count(value)) for value in values]
+    counted = sum(count for _, count in counts)
+    if counted != len(path_bytes):
+        raise AssertionError(
+            f"{len(path_bytes) - counted} of {len(path_bytes)} path bytes "
+            f"lie outside {values.start}..{values.stop - 1}"
+        )
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Enumerate all Dyck paths of order k; histogram two per-path maxima.
@@ -80,13 +96,24 @@ def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     maximum is the larger of its halves' maxima, and the junction node h
     is a peak when the prefix ends with an up step and the suffix starts
     with a down step (its reversal ends with an up step).
+
+    The paths through one junction get a byte each for their maximum
+    height and one for their highest peak, in the same order.  When the
+    two byte strings are equal, every path's highest peak is its maximum,
+    checked path by path, and one histogram serves for both; otherwise
+    both are counted and count_paths_bruteforce reports the disagreement.
+    A path byte is the larger of two half bytes, so only the values from
+    the smallest to the largest half byte are counted, and the counts
+    must add up to the paths through the junction.
     """
     by_height = [0] * (k + 1)
     by_peak = [0] * (k + 1)
     # larger[a] maps each byte b to max(a, b): bytes.translate then takes
     # one path's maximum per suffix, a byte per path, at C speed.
-    larger = [bytes(max(a, b) for b in range(256)) for a in range(k + 1)]
+    larger = [bytes([a]) * a + bytes(range(a, 256)) for a in range(k + 1)]
     for h, halves in enumerate(_half_walks(k)):
+        if not halves:  # k - h odd: no walk of k steps ends at h
+            continue
         maxima = bytes(maxh for maxh, _, _ in halves)
         peaks = bytes(maxpeak for _, maxpeak, _ in halves)
         # the suffix peaks seen by a prefix that ends with an up step
@@ -96,9 +123,15 @@ def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             (peaks_after_up if up else peaks).translate(larger[maxpeak])
             for _, maxpeak, up in halves
         )
-        for i in range(k + 1):
-            by_height[i] += path_heights.count(i)
-            by_peak[i] += path_peaks.count(i)
+        height_counts = _byte_counts(path_heights, range(min(maxima), max(maxima) + 1))
+        if path_peaks == path_heights:
+            peak_counts = height_counts
+        else:
+            peak_counts = _byte_counts(path_peaks, range(min(peaks), max(peaks_after_up) + 1))
+        for value, count in height_counts:
+            by_height[value] += count
+        for value, count in peak_counts:
+            by_peak[value] += count
     return tuple(by_height), tuple(by_peak)
 
 

@@ -11,8 +11,10 @@ are arbitrary-precision ints and evaluation points are Fractions.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntPoly = tuple[int, ...]
 
@@ -90,6 +92,8 @@ def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
 
 def eval_at(a: IntPoly, q: Fraction) -> Fraction:
     """Horner evaluation at an exact rational point."""
+    from fractions import Fraction
+
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * q + c

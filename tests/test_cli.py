@@ -117,6 +117,89 @@ def test_verify_builds_each_row_once(capsys, monkeypatch):
     assert info.hits == 4 * (oracle.BRUTEFORCE_MAX_ORDER + 1) - info.misses
 
 
+def test_verify_reports_each_mismatched_cell(capsys, monkeypatch):
+    def one_off(n, kmax):
+        row = oracle.count_row_dp(n, kmax)
+        # one cell the brute force also covers, one past its guard
+        for bad_n, bad_k in ((1, 3), (2, 16)):
+            if n == bad_n:
+                row[bad_k] += 1
+        return row
+
+    monkeypatch.setattr(cli, "count_row_dp", one_off)
+    code, record, _ = run_json(capsys, "verify", "--n-max", "2", "--k-max", "16")
+    assert code == 1
+    assert record["status"] == "mismatch"
+    assert record["results"]["cells"] == 3 * 17
+    assert record["results"]["mismatch_count"] == 2
+    assert record["results"]["mismatches"] == [
+        {"n": 1, "k": 3, "series": "1", "dp": "2", "contfrac": "1", "bruteforce": "1"},
+        {"n": 2, "k": 16, "series": "32768", "dp": "32769", "contfrac": "32768"},
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--k-max", "16", "--format", "csv")
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["n", "k", "series", "dp", "contfrac", "bruteforce"],
+        ["1", "3", "1", "2", "1", "1"],
+        ["2", "16", "32768", "32769", "32768", ""],
+    ]
+
+
+def test_verify_reports_a_bruteforce_cell_the_other_routes_agree_on(capsys, monkeypatch):
+    def one_off(k, n):
+        return oracle.count_paths_bruteforce(k, n) + ((k, n) == (0, 2))
+
+    monkeypatch.setattr(cli, "count_paths_bruteforce", one_off)
+    code, record, _ = run_json(capsys, "verify", "--n-max", "3", "--k-max", "20")
+    assert code == 1
+    assert record["results"]["mismatches"] == [
+        {"n": 2, "k": 0, "series": "1", "dp": "1", "contfrac": "1", "bruteforce": "2"},
+    ]
+
+
+# Order-2 half walks: U D ends at 0 (maximum 1, highest peak 1) and U U
+# at 2 (maximum 2, no inner peak; the junction of U U D D is its peak).
+@pytest.fixture(
+    params=[
+        # U D's peak raised to 2: U D U D peaks above its maximum
+        (0, 1, 2, "peak-height filter (0) and max-height filter (1) disagree at k=2, n=1"),
+        # U U's maximum lowered to 1: U U D D's junction peak stands above it
+        (2, 0, 1, "peak-height filter (1) and max-height filter (2) disagree at k=2, n=1"),
+    ],
+    ids=["peak-raised", "height-lowered"],
+)
+def corrupt_half_walk(request, monkeypatch):
+    """Corrupt one order-2 half walk; yield the brute force's message."""
+    end, field, value, message = request.param
+    half_walks = oracle._half_walks
+
+    def corrupted(k):
+        by_end = half_walks(k)
+        if k == 2:
+            entry = list(by_end[end][0])
+            entry[field] = value
+            by_end[end][0] = tuple(entry)
+        return by_end
+
+    monkeypatch.setattr(oracle, "_half_walks", corrupted)
+    oracle._maxima_histograms.cache_clear()
+    yield message
+    oracle._maxima_histograms.cache_clear()
+
+
+def test_unequal_peak_and_height_bytes_are_a_defect(capsys, corrupt_half_walk):
+    message = corrupt_half_walk
+    assert oracle.count_paths_bruteforce(2, 0) == 0
+    with pytest.raises(AssertionError) as info:
+        oracle.count_paths_bruteforce(2, 1)
+    assert str(info.value) == message
+    code, record, err = run_json(capsys, "verify", "--n-max", "3", "--k-max", "4")
+    assert code == EXIT_DEFECT
+    assert record["status"] == "defect"
+    assert record["results"]["error"] == f"AssertionError: {message}"
+    assert err == f"defect: AssertionError: {message}\n"
+
+
 def test_walk_with_rational_p_reports_exact_comparison(capsys):
     code, record, _ = run_json(
         capsys, "walk", "--m", "3", "--p", "1/3", "--trials", "20000", "--seed", "3"
@@ -398,9 +481,12 @@ def test_closed_stdout_pipe_exits_without_a_traceback(kmax):
     assert proc.stderr == b""
 
 
+# Whether each module is loaded once the command has run: the stdlib
+# modules behind dataclasses and Fraction, then numpy, last.
+PROBED_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "numpy")
 NUMPY_PROBE = (
     "import sys; from dyckwalk.cli import main; code = main(sys.argv[1:]); "
-    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    f"print(*(m in sys.modules for m in {PROBED_MODULES!r}), file=sys.stderr); sys.exit(code)"
 )
 
 
@@ -421,7 +507,10 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
         timeout=60,
     )
     assert proc.returncode == 0
-    assert proc.stderr.decode().split() == [str(imports_numpy)]
+    loaded = dict(zip(PROBED_MODULES, proc.stderr.decode().split(), strict=True))
+    assert loaded["numpy"] == str(imports_numpy)
+    if not imports_numpy:
+        assert loaded == dict.fromkeys(PROBED_MODULES, "False")
 
 
 @pytest.mark.parametrize(

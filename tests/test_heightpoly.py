@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckwalk import heightpoly
 from dyckwalk.heightpoly import (
     check_step_probability,
     height_factors,
@@ -18,7 +19,7 @@ from dyckwalk.heightpoly import (
     power_diff,
     power_diff_ratio,
 )
-from dyckwalk.poly import add, eval_at, mul, shift
+from dyckwalk.poly import add, eval_at, mul, normalize, series_coeffs, shift
 
 
 def recurrence_height_poly(m: int) -> tuple[int, ...]:
@@ -135,6 +136,35 @@ def test_divisor_factors_multiply_to_the_height_polynomial(m):
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=250))
 def test_factors_cut_at_kmax_multiply_to_the_cut_polynomial(m, kmax):
     assert product(height_factors(m, kmax))[:kmax + 1] == height_poly(m)[:kmax + 1]
+
+
+def kmax_cut_factors(m: int, kmax: int) -> list[tuple[int, ...]]:
+    """Reference for height_factors: every quotient taken as a series
+    mod x**(kmax+1), however far that runs past its degree."""
+    divisors = [d for d in range(3, m + 1) if m % d == 0]
+    factors = {}
+    for i, d in enumerate(divisors):
+        series = height_poly(d)[:kmax + 1]
+        for e in divisors[:i]:
+            if d % e == 0:
+                series = series_coeffs(series, factors[e], kmax)
+        factors[d] = normalize(series)
+    return list(factors.values())
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 7, 30, 74, 75, 149, 150, 151, 400])
+def test_factors_match_the_kmax_cut_construction(kmax):
+    for m in range(1, 301):
+        assert height_factors(m, kmax) == kmax_cut_factors(m, kmax), m
+
+
+def test_a_corrupted_divisor_is_a_defect(monkeypatch):
+    # P_3 = 1 - x made 1 - 2x: P_6 = 1 - 4x + 3x**2 is not a multiple of it
+    monkeypatch.setattr(
+        heightpoly, "height_poly", lambda m: (1, -2) if m == 3 else height_poly(m)
+    )
+    with pytest.raises(AssertionError, match="P_6"):
+        height_factors(6, 5)
 
 
 def test_factors_of_the_first_two_indices_are_none():
