@@ -36,10 +36,9 @@ EXIT_BROKEN_PIPE = 141
 
 # Input ceilings, checked before anything is built.  Each keeps the
 # largest accepted run under about 1 GB and a minute on 2 cores, as
-# measured at the ceiling: table --n 1997 --kmax 4000 in 17-41 s and
-# 32 MiB (n+2 = 1999 is prime, so its P_{n+2} is not split into divisor
-# factors and this is the slowest table; --n 2000 --kmax 4000 takes
-# 8-18 s; the ranges are a quiet and a loaded host),
+# measured at the ceiling: table --n 1997..2000 --kmax 4000 in 3.6-4.8 s
+# and 37-38 MiB (the walk sweep that divides by P_{n+2} grows with n, so
+# the top rows are the slowest tables; six runs on a shared host),
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 500000 --p 2/5
 # --trials 1 in 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max
 # 100 --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most

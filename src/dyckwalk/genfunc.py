@@ -15,11 +15,12 @@ Divisibility is checked on every extraction, so a failure can only mean
 an implementation bug and raises DivisibilityError rather than rounding.
 
 The denominator is never expanded.  count_table divides the numerator
-by P_{n+2} twice and then by 1 - 4x, and P_{n+2} itself goes in as
-groups of its divisor factors (heightpoly.height_factors), whose
-coefficients are far shorter than its own; the long divisions are bound
-by big-int multiplication, so shorter divisors make them cheaper.  All
-of it is series arithmetic mod x**(kmax+1) through poly.series_coeffs.
+by P_{n+2} twice and then by 1 - 4x, all of it series arithmetic mod
+x**(kmax+1).  A P_{n+2} with coefficients of one digit, or of degree past
+kmax, goes in through its coefficients by poly.series_coeffs; any other
+by the walk sweep heightpoly.divide_by_height_poly, which adds where the
+coefficient division would multiply by coefficients of about 0.7 * n
+bits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .heightpoly import height_factors, height_poly
+from .heightpoly import divide_by_height_poly, height_poly
 from .poly import IntPoly, mul, series_coeffs
 
 _ONE_MINUS_4X: IntPoly = (1, -4)
@@ -83,58 +84,26 @@ def counts_from_series(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _pass_cost(group: IntPoly, kmax: int) -> int:
-    """Digit multiplies per series digit of one division by group.
-
-    Coefficient j of the divisor meets kmax+1-j coefficients of the series.
-    """
-    return sum(
-        (kmax + 1 - j) * -(-c.bit_length() // _DIGIT_BITS)
-        for j, c in enumerate(group[:kmax + 1])
-    )
-
-
-def _division_groups(m: int, kmax: int) -> list[IntPoly]:
-    """Polynomials whose product is P_m mod x**(kmax+1), to divide by in turn.
-
-    The factors R_d of P_m (heightpoly.height_factors) are taken in
-    ascending degree, and the next one joins the current group while the
-    joined group costs no more to divide by than the two apart.  P_m is
-    kept whole when its coefficients each fit in one digit, where
-    factors would only add passes, or when its degree passes kmax, where
-    the cut factors cost more to build and divide by than the cut P_m:
-    count_table(2000, 300) takes 0.14 s split against 0.04 s whole.
-    """
-    whole = height_poly(m)
-    if len(whole) - 1 > kmax or max(map(abs, whole)).bit_length() <= _DIGIT_BITS:
-        return [whole]
-    groups: list[IntPoly] = []
-    for factor in sorted(height_factors(m, kmax), key=len):
-        if groups:
-            joined = mul(groups[-1], factor)[:kmax + 1]
-            if _pass_cost(joined, kmax) <= _pass_cost(groups[-1], kmax) + _pass_cost(factor, kmax):
-                groups[-1] = joined
-                continue
-        groups.append(factor)
-    return groups
-
-
 def count_table(n: int, kmax: int) -> CountTable:
     """Exact A(n, 0..kmax) extracted from the closed form.
 
     The numerator is divided by the denominator's factors one at a time
-    rather than by their product: by each group of P_{n+2}'s divisor
-    factors twice (see _division_groups), then by 1 - 4x.  Every
-    division is exact series arithmetic mod x**(kmax+1), so the
+    rather than by their product: by P_{n+2} twice, then by 1 - 4x.
+    Every division is exact series arithmetic mod x**(kmax+1), so the
     quotient is the same integer series as one division by
-    (1 - 4x) * P_{n+2}**2, but the long divisions multiply by
-    coefficients with a fraction of the bits: P_1002 has 8,501 30-bit
-    digits of coefficients, its six factors 2,503 over the same degree.
-    A prime n+2 gives one factor, P_{n+2} itself.
+    (1 - 4x) * P_{n+2}**2.  P_{n+2} goes in by its coefficients when
+    each fits one digit (n <= 46) or its degree passes kmax; otherwise
+    by heightpoly.divide_by_height_poly, whose additions cost less than
+    products with coefficients of many digits: P_1002 has 8,501 30-bit
+    digits of them.
     """
     series = series_numerator(n)
-    for group in _division_groups(n + 2, kmax):
-        series = series_coeffs(series, group, kmax)
-        series = series_coeffs(series, group, kmax)
+    den = height_poly(n + 2)
+    if len(den) - 1 > kmax or max(map(abs, den)).bit_length() <= _DIGIT_BITS:
+        series = series_coeffs(series, den, kmax)
+        series = series_coeffs(series, den, kmax)
+    else:
+        series = divide_by_height_poly(series, n + 2, kmax)
+        series = divide_by_height_poly(series, n + 2, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
     return CountTable(n=n, kmax=kmax, counts=counts_from_series(series))

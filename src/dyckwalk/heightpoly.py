@@ -18,14 +18,12 @@ planted plane trees", 1972).  ``height_poly_coeff(m, j)`` evaluates one
 coefficient by math.comb, and the recurrence itself is kept in the tests
 as the cross-check.
 
-Like the Fibonacci polynomials, P_m factors over the integers by the
-divisors of m: P_d divides P_m when d divides m, and P_m is irreducible
-when m is prime (Webb and Parberry, "Divisibility properties of Fibonacci
-polynomials", Fibonacci Quarterly 7, 1969).  ``height_factors(m, kmax)``
-returns the Moebius factors R_d, one for each divisor d >= 3 of m, of
-degree phi(d)/2 and with far smaller coefficients than P_m:
-
-    P_m = prod_{d | m, d >= 3} R_d,        R_d = P_d / prod_{e | d, 3 <= e < d} R_e.
+P_m is also det(I - sqrt(x) * A) for the adjacency matrix A of the path
+on nodes 0..m-2, so 1/P_m counts the walks on that path from one end to
+the other (Flajolet, "Combinatorial aspects of continued fractions",
+1980).  ``divide_by_height_poly(series, m, kmax)`` divides a series by
+P_m that way, with additions alone: it never multiplies by P_m's
+coefficients, which run to about 0.7 * m bits.
 
 The same module evaluates the exact rational quantities that the
 polynomials encode for an asymmetric walk with step-right probability p:
@@ -45,9 +43,10 @@ enters every denominator downstream.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from operator import add
+from typing import TYPE_CHECKING, Sequence
 
-from .poly import IntPoly, normalize, series_coeffs
+from .poly import IntPoly
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -75,44 +74,48 @@ def height_poly(m: int) -> IntPoly:
     return tuple(coeffs)
 
 
-def height_factors(m: int, kmax: int) -> list[IntPoly]:
-    """The factors R_d of P_m, for the divisors d >= 3 of m in ascending
-    order, each cut after x**kmax.
+def divide_by_height_poly(series: Sequence[int], m: int, kmax: int) -> list[int]:
+    """series / P_m mod x**(kmax+1), by additions alone.
 
-    R_d is the series quotient of P_d by the R_e of the divisors
-    3 <= e < d of d, mod x**(t+1) with t = min(kmax, deg P_d), with its
-    trailing zeros trimmed.  So the factors multiply to P_m mod
-    x**(kmax+1) by construction, whatever the divisibility theory says.
-    When deg P_d <= kmax the quotient must also have degree at most
-    deg P_d - sum of deg R_e: then R_d times the R_e has degree at most
-    deg P_d and agrees with P_d mod x**(deg P_d + 1), so it is P_d, and
-    the division is exact.  A quotient that fails this raises
-    AssertionError, which only a bug can cause; by the theory its degree
-    is phi(d)/2.  Dividing no further than deg P_d skips the zero tail
-    that a division to x**kmax would spend most of its work on.
+    P_m(x) = det(I - sqrt(x) * A) for the adjacency matrix A of the path
+    on nodes 0..m-2, so 1/P_m = sum_k w_k x**k, where w_k counts the walks
+    of 2k + m-2 steps from node 0 to node m-2 (Flajolet 1980).  Term j of
+    the series enters node 0 at step 2j, every step sends each node's
+    value to both neighbours, and quotient coefficient k is read at node
+    m-2 at step 2k + m-2: it is sum_j series_j * w_{k-j}.
+
+    Only the nodes of the step's parity hold values, and only those in
+    [t - 2*kmax, t] are updated at step t: nodes above t are still zero,
+    and a node below t - 2*kmax can no longer reach node m-2 by the last
+    step read.  So a step is one map of additions over a slice, and the
+    whole division takes at most (2*kmax + m) * min(kmax, m/2) additions.
     """
-    if m < 1:
-        raise ValueError(f"index must be a positive integer, got {m}")
+    if m < 2:
+        raise ValueError(f"index must be >= 2, got {m}")
     if kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
-    divisors = [d for d in range(3, m + 1) if m % d == 0]
-    factors: dict[int, IntPoly] = {}
-    for i, d in enumerate(divisors):
-        poly = height_poly(d)
-        cut = min(kmax, len(poly) - 1)
-        series = poly[:cut + 1]
-        room = len(poly) - 1  # deg P_d less the degrees divided out
-        for e in divisors[:i]:
-            if d % e == 0:
-                series = series_coeffs(series, factors[e], cut)
-                room -= len(factors[e]) - 1
-        factors[d] = normalize(series)
-        if len(poly) - 1 <= kmax and len(factors[d]) - 1 > room:
-            raise AssertionError(
-                f"P_{d} is not divisible by the factors of its divisors: "
-                f"the quotient has degree {len(factors[d]) - 1}, above {room}"
-            )
-    return list(factors.values())
+    top = m - 2
+    terms = series[:kmax + 1]
+    # even[a] holds node 2a and odd[a] node 2a-1; odd[0] (node -1) and the
+    # last entry of each, past node top, stay zero
+    even = [0] * (top // 2 + 2)
+    odd = [0] * ((top + 1) // 2 + 2)
+    read, at = odd if top % 2 else even, (top + 1) // 2
+    quotient = []
+    for t in range(2 * kmax + top + 1):
+        lo = max(0, t - 2 * kmax) // 2
+        hi = min(t, top)
+        if t % 2:
+            b = (hi + 1) // 2
+            odd[lo + 1:b + 1] = map(add, even[lo:b], even[lo + 1:b + 1])
+        else:
+            b = hi // 2 + 1
+            even[lo:b] = map(add, odd[lo:b], odd[lo + 1:b + 1])
+            if t // 2 < len(terms):
+                even[0] += terms[t // 2]
+        if t >= top and (t - top) % 2 == 0:
+            quotient.append(read[at])
+    return quotient
 
 
 def height_poly_coeff(m: int, j: int) -> int:

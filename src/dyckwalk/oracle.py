@@ -219,8 +219,8 @@ def _series_ratio(num: list[int], den: list[int], kmax: int) -> list[int]:
     return q[deg:]
 
 
-def contfrac_rows(n_max: int, kmax: int) -> Iterator[list[int]]:
-    """Convergents G_0, G_1, ..., G_{n_max} mod z**(kmax+1), one at a time.
+def contfrac_rows(n_max: int, kmax: int, n_min: int = 0) -> Iterator[list[int]]:
+    """Convergents G_{n_min}, ..., G_{n_max} mod z**(kmax+1), one at a time.
 
     G_0 = 1 and G_h = 1 / (1 - z * G_{h-1}); the coefficients of G_n
     count Dyck paths of height <= n.  By the fundamental recurrence of
@@ -231,19 +231,19 @@ def contfrac_rows(n_max: int, kmax: int) -> Iterator[list[int]]:
 
     so row h is one series division by a polynomial of degree
     floor((h+1)/2): O(kmax * h/2) big-int multiply-adds per row, against
-    O(kmax**2) for inverting 1 - z * G_{h-1} as a dense series.  Each
-    row is a new list, so a caller may keep it.
+    O(kmax**2) for inverting 1 - z * G_{h-1} as a dense series.  Rows
+    below n_min are not divided, only their D_h built.  Each row is a new
+    list, so a caller may keep it.
     """
     if n_max < 0 or kmax < 0:
         raise ValueError(f"bound and kmax must be nonnegative, got n={n_max}, kmax={kmax}")
     num = [1]  # D_{-1}
-    for den in _wallis_denominators(n_max):
-        yield _series_ratio(num, den, kmax)
+    for h, den in enumerate(_wallis_denominators(n_max)):
+        if h >= n_min:
+            yield _series_ratio(num, den, kmax)
         num = den
 
 
 def count_by_contfrac(n: int, kmax: int) -> list[int]:
     """Counts A(n, 0..kmax): row n of the continued-fraction sweep."""
-    for conv in contfrac_rows(n, kmax):
-        pass
-    return conv
+    return next(contfrac_rows(n, kmax, n_min=n))

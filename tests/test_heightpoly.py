@@ -10,16 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckwalk import heightpoly
 from dyckwalk.heightpoly import (
     check_step_probability,
-    height_factors,
+    divide_by_height_poly,
     height_poly,
     height_poly_coeff,
     power_diff,
     power_diff_ratio,
 )
-from dyckwalk.poly import add, eval_at, mul, normalize, series_coeffs, shift
+from dyckwalk.poly import add, eval_at, mul, series_coeffs, shift
 
 
 def recurrence_height_poly(m: int) -> tuple[int, ...]:
@@ -32,17 +31,6 @@ def recurrence_height_poly(m: int) -> tuple[int, ...]:
     for _ in range(3, m + 1):
         prev, cur = cur, add(cur, mul((0, -1), prev))
     return cur
-
-
-def totient(d: int) -> int:
-    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
-
-
-def product(polys) -> tuple[int, ...]:
-    out = (1,)
-    for f in polys:
-        out = mul(out, f)
-    return out
 
 
 def random_probability(rng: random.Random) -> Fraction:
@@ -119,64 +107,31 @@ def test_large_index_matches_binomials_and_keeps_nothing():
     assert retained < 64 * 1024
 
 
-@pytest.mark.parametrize("m", range(3, 301))
-def test_divisor_factors_multiply_to_the_height_polynomial(m):
-    divisors = [d for d in range(3, m + 1) if m % d == 0]
-    factors = height_factors(m, (m - 1) // 2)
-    assert product(factors) == height_poly(m)
-    assert len(factors) == len(divisors)
-    for d, factor in zip(divisors, factors):
-        assert factor[0] == 1
-        assert len(factor) - 1 == totient(d) // 2, d
-    if all(m % d for d in range(2, m)):
-        assert factors == [height_poly(m)]
+@pytest.mark.parametrize("m", [*range(2, 65), 1002, 1999])
+def test_sweep_undoes_a_product_with_the_height_polynomial(m):
+    # node m-2 has both parities over the m; kmax below, at and past deg P_m
+    deg = (m - 1) // 2
+    kmaxes = {deg // 2, deg, deg + 3} | ({0, 4 * deg + 9} if m <= 64 else set())
+    rng = random.Random(m)
+    for kmax in sorted(kmaxes):
+        q = [rng.randrange(-2**64, 2**64) for _ in range(kmax + 1)]
+        series = mul(height_poly(m), tuple(q))[:kmax + 1]
+        assert divide_by_height_poly(series, m, kmax) == q, kmax
 
 
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=250))
-def test_factors_cut_at_kmax_multiply_to_the_cut_polynomial(m, kmax):
-    assert product(height_factors(m, kmax))[:kmax + 1] == height_poly(m)[:kmax + 1]
+@pytest.mark.parametrize("m", range(2, 13))
+def test_sweep_of_a_short_series_is_the_series_division(m):
+    # 1/P_m, whose coefficients count the walks from node 0 to node m-2
+    assert divide_by_height_poly((1,), m, 30) == series_coeffs((1,), height_poly(m), 30)
+    assert divide_by_height_poly((), m, 4) == [0] * 5
 
 
-def kmax_cut_factors(m: int, kmax: int) -> list[tuple[int, ...]]:
-    """Reference for height_factors: every quotient taken as a series
-    mod x**(kmax+1), however far that runs past its degree."""
-    divisors = [d for d in range(3, m + 1) if m % d == 0]
-    factors = {}
-    for i, d in enumerate(divisors):
-        series = height_poly(d)[:kmax + 1]
-        for e in divisors[:i]:
-            if d % e == 0:
-                series = series_coeffs(series, factors[e], kmax)
-        factors[d] = normalize(series)
-    return list(factors.values())
-
-
-@pytest.mark.parametrize("kmax", [0, 1, 2, 7, 30, 74, 75, 149, 150, 151, 400])
-def test_factors_match_the_kmax_cut_construction(kmax):
-    for m in range(1, 301):
-        assert height_factors(m, kmax) == kmax_cut_factors(m, kmax), m
-
-
-def test_a_corrupted_divisor_is_a_defect(monkeypatch):
-    # P_3 = 1 - x made 1 - 2x: P_6 = 1 - 4x + 3x**2 is not a multiple of it
-    monkeypatch.setattr(
-        heightpoly, "height_poly", lambda m: (1, -2) if m == 3 else height_poly(m)
-    )
-    with pytest.raises(AssertionError, match="P_6"):
-        height_factors(6, 5)
-
-
-def test_factors_of_the_first_two_indices_are_none():
-    assert height_factors(1, 5) == []
-    assert height_factors(2, 5) == []
-
-
-def test_factors_reject_bad_arguments():
+def test_sweep_rejects_bad_arguments():
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError):
+            divide_by_height_poly((1, 2), m, 5)
     with pytest.raises(ValueError):
-        height_factors(0, 5)
-    with pytest.raises(ValueError):
-        height_factors(6, -1)
+        divide_by_height_poly((1, 2), 6, -1)
 
 
 def test_coeff_out_of_range_is_zero():

@@ -6,10 +6,10 @@ import operator
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyckwalk import oracle
+from dyckwalk import genfunc, heightpoly, oracle, poly
 from dyckwalk.genfunc import count_table
 from dyckwalk.heightpoly import height_poly
 from dyckwalk.oracle import (
@@ -220,6 +220,28 @@ def test_counting_routes_agree_cell_by_cell(n, kmax):
             assert count_paths_bruteforce(k, n) == expected, (n, k)
 
 
+@st.composite
+def swept_cells(draw):
+    # n >= 47 and kmax >= deg P_{n+2}: count_table divides by the walk sweep
+    n = draw(st.integers(min_value=47, max_value=800))
+    return n, draw(st.integers(min_value=(n + 1) // 2, max_value=400))
+
+
+@settings(max_examples=10, deadline=None)
+@given(swept_cells())
+@example((795, 400))  # n + 2 = 797 is prime
+def test_sweep_route_agrees_with_the_dp_and_the_convergent(cell):
+    n, kmax = cell
+    series = list(count_table(n, kmax).counts)
+    assert series == count_row_dp(n, kmax)
+    assert series == next(contfrac_rows(n, kmax, n_min=n))
+
+
+def test_contfrac_rows_from_n_min_are_the_tail_of_the_sweep():
+    assert list(contfrac_rows(6, 9, n_min=4)) == list(contfrac_rows(6, 9))[4:]
+    assert list(contfrac_rows(6, 9, n_min=7)) == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=200))
 def test_convergents_match_the_dense_inversion(n_max, kmax):
@@ -233,8 +255,8 @@ def test_wallis_denominators_are_the_height_polynomials():
     assert h == 200
 
 
-def test_oracle_imports_nothing_from_the_routes_it_checks():
-    tree = ast.parse(Path(oracle.__file__).read_text())
+def imported_modules(module) -> set[str]:
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -244,6 +266,15 @@ def test_oracle_imports_nothing_from_the_routes_it_checks():
             imported.add(base)
             # `from . import genfunc` names the module in the alias
             imported.update(f"{base}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def test_oracle_imports_nothing_from_the_routes_it_checks():
+    # and the other way round: the walk sweep in heightpoly walks the same
+    # path graph as the DP, so neither side may borrow from the other
     forbidden = {"heightpoly", "genfunc", "poly"}
-    for name in imported:
+    for name in imported_modules(oracle):
         assert not forbidden & set(name.lstrip(".").split(".")), name
+    for module in (genfunc, heightpoly, poly):
+        for name in imported_modules(module):
+            assert "oracle" not in name.lstrip(".").split("."), (module.__name__, name)
