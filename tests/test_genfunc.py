@@ -14,7 +14,9 @@ from dyckwalk.genfunc import (
     series_denominator,
     series_numerator,
 )
+from dyckwalk.heightpoly import divide_by_height_poly, height_poly
 from dyckwalk.oracle import catalan, count_paths_dp
+from dyckwalk.poly import mul, normalize
 
 
 @pytest.mark.parametrize(
@@ -147,16 +149,32 @@ def test_factor_by_factor_division_equals_one_division_by_the_product(n, kmax):
 FIRST_SWEEP_N = 47
 
 
+def divisor_factor_counts(n: int, kmax: int) -> tuple[int, ...]:
+    """count_table's route with P_{n+2} split as P_d times its cofactor,
+    for the least divisor d >= 3 of n+2: P_d divides by the walk sweep,
+    the cofactor through its coefficients."""
+    m = n + 2
+    d = min(d for d in range(3, m + 1) if m % d == 0)
+    cofactor = normalize(divide_by_height_poly(height_poly(m), d, len(height_poly(m)) - 1))
+    assert mul(height_poly(d), cofactor) == height_poly(m)
+    series = series_numerator(n)
+    for _ in range(2):
+        series = divide_by_height_poly(series, d, kmax)
+        series = series_coeffs(series, cofactor, kmax)
+    return counts_from_series(series_coeffs(series, (1, -4), kmax))
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=FIRST_SWEEP_N, max_value=500), st.integers(min_value=0, max_value=40))
-@example(n=497, extra=0)  # n + 2 = 499 is prime, node n is odd
-@example(n=498, extra=3)  # node n is even
-@example(n=FIRST_SWEEP_N, extra=0)
-def test_sweep_division_equals_one_division_by_the_product(n, extra):
-    # kmax >= deg P_{n+2}, so the series is divided by the walk sweep
+@example(n=497, extra=0)  # n + 2 = 499 is prime, node n is odd: no cofactor
+@example(n=498, extra=3)  # n + 2 = 500 = 2^2 * 5^3, node n is even
+@example(n=FIRST_SWEEP_N, extra=0)  # n + 2 = 49 = 7^2
+def test_divisor_factor_division_equals_one_division_by_the_product(n, extra):
+    # kmax >= deg P_{n+2}, so count_table divides by the walk sweep
     kmax = (n + 1) // 2 + extra
     single = series_coeffs(series_numerator(n), series_denominator(n), kmax)
     assert count_table(n, kmax).counts == counts_from_series(single)
+    assert divisor_factor_counts(n, kmax) == counts_from_series(single)
 
 
 class Swept(Exception):
@@ -169,20 +187,22 @@ class Whole(Exception):
 
 @pytest.mark.parametrize(
     "n, kmax, sweeps",
-    [
+    [(1000, 2000, True), (100, 4000, True), (998, 500, True)]
+    + [(n, kmax, False) for n in range(0, 41) for kmax in (300, 2000)]
+    + [(2000, 300, False), (2000, 999, False), (1000, 100, False), (200, 50, False)]
+    + [
         (0, 5, False),
         (FIRST_SWEEP_N - 1, 2000, False),  # every coefficient fits one digit
         (FIRST_SWEEP_N, 2000, True),
         (FIRST_SWEEP_N, 23, False),  # deg P_49 = 24 passes kmax
         (FIRST_SWEEP_N, 24, True),
-        (2000, 999, False),
         (2000, 1000, True),
-        (100, 4000, True),
     ],
 )
-def test_count_table_sweeps_only_long_coefficients_within_kmax(n, kmax, sweeps, monkeypatch):
-    # the first division tells the route: through P_{n+2}'s coefficients
-    # or by the walk sweep
+def test_division_groups_shape(n, kmax, sweeps, monkeypatch):
+    # count_table divides by P_{n+2} through its coefficients when they fit
+    # one digit or its degree passes kmax, and by the walk sweep otherwise;
+    # the first division tells the route
     def sweep(series, m, kmax):
         raise Swept
 

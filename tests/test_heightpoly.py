@@ -2,6 +2,7 @@
 
 import gc
 import math
+from functools import lru_cache
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +19,7 @@ from dyckwalk.heightpoly import (
     power_diff,
     power_diff_ratio,
 )
-from dyckwalk.poly import add, eval_at, mul, series_coeffs, shift
+from dyckwalk.poly import add, eval_at, mul, normalize, series_coeffs, shift
 
 
 def recurrence_height_poly(m: int) -> tuple[int, ...]:
@@ -31,6 +32,43 @@ def recurrence_height_poly(m: int) -> tuple[int, ...]:
     for _ in range(3, m + 1):
         prev, cur = cur, add(cur, mul((0, -1), prev))
     return cur
+
+
+def totient(d: int) -> int:
+    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+
+def product(polys) -> tuple[int, ...]:
+    out = (1,)
+    for f in polys:
+        out = mul(out, f)
+    return out
+
+
+@lru_cache(maxsize=None)
+def divisor_factors(m: int) -> dict[int, tuple[int, ...]]:
+    """The factors R_d of P_m, one for each divisor d >= 3 of m.
+
+    Like the Fibonacci polynomials, P_m factors by the divisors of m
+    (Webb and Parberry, Fibonacci Quarterly 7, 1969):
+    P_m = prod_{d | m, d >= 3} R_d with R_d = P_d / prod_{e | d, 3 <= e < d} R_e,
+    each quotient taken here by series division to the degree of P_d.
+    """
+    factors = {}
+    for d in (d for d in range(3, m + 1) if m % d == 0):
+        deg = len(height_poly(d)) - 1
+        series = height_poly(d)
+        for e, factor in factors.items():
+            if d % e == 0:
+                series = series_coeffs(series, factor, deg)
+        factors[d] = normalize(series)
+    return factors
+
+
+def least_divisor(m: int) -> int:
+    """The least divisor d >= 3 of m, so that P_d is a proper factor of P_m
+    whenever m has one; m itself for m <= 2."""
+    return min((d for d in range(3, m + 1) if m % d == 0), default=m)
 
 
 def random_probability(rng: random.Random) -> Fraction:
@@ -113,10 +151,11 @@ def test_sweep_undoes_a_product_with_the_height_polynomial(m):
     deg = (m - 1) // 2
     kmaxes = {deg // 2, deg, deg + 3} | ({0, 4 * deg + 9} if m <= 64 else set())
     rng = random.Random(m)
+    q = [rng.randrange(-2**64, 2**64) for _ in range(max(kmaxes) + 1)]
+    # the product mod x**(kmax+1) depends on q[:kmax+1] alone
+    series = mul(height_poly(m), tuple(q))
     for kmax in sorted(kmaxes):
-        q = [rng.randrange(-2**64, 2**64) for _ in range(kmax + 1)]
-        series = mul(height_poly(m), tuple(q))[:kmax + 1]
-        assert divide_by_height_poly(series, m, kmax) == q, kmax
+        assert divide_by_height_poly(series[:kmax + 1], m, kmax) == q[:kmax + 1], kmax
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -124,6 +163,57 @@ def test_sweep_of_a_short_series_is_the_series_division(m):
     # 1/P_m, whose coefficients count the walks from node 0 to node m-2
     assert divide_by_height_poly((1,), m, 30) == series_coeffs((1,), height_poly(m), 30)
     assert divide_by_height_poly((), m, 4) == [0] * 5
+
+
+@pytest.mark.parametrize("m", range(3, 301))
+def test_divisor_factors_multiply_to_the_height_polynomial(m):
+    factors = divisor_factors(m)
+    assert product(factors.values()) == height_poly(m)
+    for d, factor in factors.items():
+        assert factor[0] == 1
+        assert len(factor) - 1 == totient(d) // 2, d
+    if all(m % d for d in range(2, m)):
+        assert list(factors.values()) == [height_poly(m)]
+    # the sweep divides P_m by each P_d exactly, leaving the factors R_e
+    # of the divisors e of m that do not divide d
+    deg = len(height_poly(m)) - 1
+    for d in factors:
+        cofactor = product(f for e, f in factors.items() if d % e)
+        assert normalize(divide_by_height_poly(height_poly(m), d, deg)) == cofactor, d
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=400), st.integers(min_value=0, max_value=250))
+def test_factors_cut_at_kmax_multiply_to_the_cut_polynomial(m, kmax):
+    # the quotient by a factor P_d of P_m, cut after x**kmax, times P_d is
+    # P_m cut after x**kmax, and past deg P_m it is a polynomial
+    d = least_divisor(m)
+    cut = height_poly(m)[:kmax + 1]
+    quotient = divide_by_height_poly(cut, d, kmax)
+    assert mul(height_poly(d), tuple(quotient))[:kmax + 1] == cut
+    if kmax >= len(height_poly(m)) - 1:
+        assert len(normalize(quotient)) == len(height_poly(m)) - len(height_poly(d)) + 1
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 7, 30, 74, 75, 149, 150, 151, 400])
+def test_factors_match_the_kmax_cut_construction(kmax):
+    # P_m / P_d by the sweep mod x**(kmax+1) is the product of the factors
+    # R_e that P_d leaves out, and the series division of the cut P_m
+    for m in range(2, 301):
+        d = least_divisor(m)
+        cut = height_poly(m)[:kmax + 1]
+        quotient = divide_by_height_poly(cut, d, kmax)
+        assert quotient == series_coeffs(cut, height_poly(d), kmax), m
+        cofactor = product(f for e, f in divisor_factors(m).items() if d % e)
+        assert normalize(quotient) == normalize(cofactor[:kmax + 1]), m
+
+
+def test_factors_of_the_first_two_indices_are_none():
+    # P_1 = P_2 = 1, and dividing by P_2 leaves a series as it is
+    assert divisor_factors(1) == divisor_factors(2) == {}
+    assert height_poly(1) == height_poly(2) == (1,)
+    assert divide_by_height_poly((3, -1, 4, 1, -5), 2, 4) == [3, -1, 4, 1, -5]
+    assert divide_by_height_poly((3, -1, 4, 1, -5), 2, 6) == [3, -1, 4, 1, -5, 0, 0]
 
 
 def test_sweep_rejects_bad_arguments():
