@@ -4,20 +4,12 @@ The walk names are loaded on first use (PEP 562), so that importing the
 package does not import numpy, which only the walk module needs.
 """
 
-from .genfunc import (
-    CountTable,
-    DivisibilityError,
-    count_table,
-    series_coeffs,
-    series_denominator,
-    series_numerator,
-)
-from .heightpoly import height_poly, height_poly_coeff, power_diff, power_diff_ratio
+from .genfunc import CountTable, DivisibilityError, count_table
+from .heightpoly import height_poly
 from .oracle import (
     BRUTEFORCE_MAX_ORDER,
     catalan,
     contfrac_rows,
-    count_by_contfrac,
     count_paths_bruteforce,
     count_paths_dp,
     count_row_dp,
@@ -28,10 +20,7 @@ _WALK_NAMES = frozenset({
     "WalkStats",
     "conditional_hit_time",
     "hit_probability",
-    "path_series_closed",
-    "renewal_identity_holds",
     "simulate",
-    "walk_length_to_order",
 })
 
 
@@ -54,22 +43,12 @@ __all__ = [
     "catalan",
     "conditional_hit_time",
     "contfrac_rows",
-    "count_by_contfrac",
     "count_paths_bruteforce",
     "count_paths_dp",
     "count_row_dp",
     "count_table",
     "height_poly",
-    "height_poly_coeff",
     "hit_probability",
-    "path_series_closed",
-    "power_diff",
-    "power_diff_ratio",
-    "renewal_identity_holds",
-    "series_coeffs",
-    "series_denominator",
-    "series_numerator",
     "simulate",
-    "walk_length_to_order",
     "__version__",
 ]

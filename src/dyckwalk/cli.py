@@ -33,6 +33,7 @@ EXIT_ERROR = 2
 EXIT_DEFECT = 3
 # What a shell reports for a process that SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
+_EXIT_CODES = {"ok": 0, "mismatch": EXIT_MISMATCH, "error": EXIT_ERROR, "defect": EXIT_DEFECT}
 
 # Input ceilings, checked before anything is built.  Each keeps the
 # largest accepted run under about 1 GB and a minute on 2 cores, as
@@ -233,17 +234,8 @@ def _cmd_walk(args) -> tuple[str, dict, tuple]:
         m=args.m, p=p_value, trials=args.trials, seed=args.seed, max_steps=args.max_steps
     )
     stats = simulate(cfg)
-    results = {
-        "trials_run": stats.trials_run,
-        "hits_right": stats.hits_right,
-        "hits_left": stats.hits_left,
-        "truncated": stats.truncated,
-        "hit_prob": stats.hit_prob,
-        "hit_prob_se": stats.hit_prob_se,
-        "mean_hit_len": stats.mean_hit_len,
-        "mean_hit_len_se": stats.mean_hit_len_se,
-        "p_mode": p_mode,
-    }
+    # WalkStats' field names are the record's keys
+    results = dict(vars(stats), p_mode=p_mode)
     if stats.truncated:
         results["note"] = "run unreliable: some trials hit the max_steps cap"
     if p_mode == "exact" and 2 * p_value != 1:
@@ -356,16 +348,23 @@ def _run(args) -> int:
     A check that only a bug can fail (a series coefficient off its 2k+1
     divisor, the brute-force filter check, an even-length walk success)
     ends in status "defect" and exit 3; bad input in "error" and exit 2.
+    The record of a run that raised carries its message, which also goes
+    to stderr.
     """
     params = _parameters(args)
     start = time.perf_counter()
     try:
         status, results, rows = args.handler(args)
     except (DivisibilityError, AssertionError) as exc:
-        return _fail(args, params, start, "defect", f"{type(exc).__name__}: {exc}")
+        status, message = "defect", f"{type(exc).__name__}: {exc}"
     except (ValueError, ArithmeticError) as exc:
-        return _fail(args, params, start, "error", str(exc))
+        status, message = "error", str(exc)
+    else:
+        message = None
     elapsed = 1000.0 * (time.perf_counter() - start)
+    if message is not None:
+        print(f"{status}: {message}", file=sys.stderr)
+        results, rows = {"error": message}, (["error"], [[message]])
     record = {
         "command": args.command,
         "parameters": params,
@@ -374,22 +373,7 @@ def _run(args) -> int:
         "elapsed_ms": elapsed,
     }
     _emit(record, rows, args.format)
-    return 0 if status == "ok" else EXIT_MISMATCH
-
-
-def _fail(args, params: dict, start: float, status: str, message: str) -> int:
-    """Print the record of a run that raised, with the message on stderr."""
-    elapsed = 1000.0 * (time.perf_counter() - start)
-    print(f"{status}: {message}", file=sys.stderr)
-    record = {
-        "command": args.command,
-        "parameters": params,
-        "results": {"error": message},
-        "status": status,
-        "elapsed_ms": elapsed,
-    }
-    _emit(record, (["error"], [[message]]), args.format)
-    return EXIT_DEFECT if status == "defect" else EXIT_ERROR
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

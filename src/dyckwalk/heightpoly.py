@@ -14,9 +14,8 @@ of its coefficients, the alternating binomials
 one exact multiplicative update per coefficient, so a call costs O(m)
 big-int operations on numbers of O(m) bits and keeps nothing once its
 result is dropped (de Bruijn, Knuth and Rice, "The average height of
-planted plane trees", 1972).  ``height_poly_coeff(m, j)`` evaluates one
-coefficient by math.comb, and the recurrence itself is kept in the tests
-as the cross-check.
+planted plane trees", 1972).  The tests hold it to math.comb coefficient
+by coefficient and to the recurrence itself.
 
 P_m is also det(I - sqrt(x) * A) for the adjacency matrix A of the path
 on nodes 0..m-2, so 1/P_m counts the walks on that path from one end to
@@ -42,7 +41,6 @@ enters every denominator downstream.
 
 from __future__ import annotations
 
-import math
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
@@ -116,19 +114,6 @@ def divide_by_height_poly(series: Sequence[int], m: int, kmax: int) -> list[int]
         if t >= top and (t - top) % 2 == 0:
             quotient.append(read[at])
     return quotient
-
-
-def height_poly_coeff(m: int, j: int) -> int:
-    """Coefficient of x**j in P_m by the closed form (-1)**j * C(m-1-j, j).
-
-    Computed by math.comb, apart from height_poly's multiplicative
-    updates; used to cross-check it.
-    """
-    if m < 1:
-        raise ValueError(f"index must be a positive integer, got {m}")
-    if j < 0 or j > (m - 1) // 2:
-        return 0
-    return (-1) ** j * math.comb(m - 1 - j, j)
 
 
 def power_diff(i: int, p: Fraction) -> Fraction:

@@ -4,22 +4,18 @@ A polynomial is a tuple of Python ints, index j holding the coefficient
 of x**j.  The zero polynomial is the empty tuple; otherwise the last
 entry is nonzero.  Tuples keep values immutable and hashable, so they
 are safe to cache and share.  Everything here is exact: coefficients
-are arbitrary-precision ints and evaluation points are Fractions.
-``series_coeffs`` expands a quotient of them as a truncated power series.
+are arbitrary-precision ints.  ``series_coeffs`` expands a quotient of
+them as a truncated power series.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Sequence
 
 IntPoly = tuple[int, ...]
 
 ZERO: IntPoly = ()
-ONE: IntPoly = (1,)
 
 
 def normalize(coeffs: Iterable[int]) -> IntPoly:
@@ -52,15 +48,6 @@ def mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return normalize(out)
 
 
-def shift(a: IntPoly, t: int) -> IntPoly:
-    """Multiply by x**t (t >= 0)."""
-    if t < 0:
-        raise ValueError(f"shift amount must be nonnegative, got {t}")
-    if not a:
-        return ZERO
-    return (0,) * t + a
-
-
 def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
     """First kmax+1 coefficients of num/den as a formal power series.
 
@@ -88,13 +75,3 @@ def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
     for k in range(d, kmax + 1):
         coeffs[k] -= sum(map(operator.mul, rev, coeffs[k - d:k]))
     return coeffs
-
-
-def eval_at(a: IntPoly, q: Fraction) -> Fraction:
-    """Horner evaluation at an exact rational point."""
-    from fractions import Fraction
-
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * q + c
-    return acc

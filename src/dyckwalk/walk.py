@@ -17,9 +17,8 @@ Through that correspondence the product
     hit_probability(m, p) / p * conditional_hit_time(m, p)
 
 equals the bounded-path series sum_k (2k+1) A(m-2, k) x^k evaluated at
-x = p*(1-p), and path_series_closed computes it directly from the
-closed-form rational function, giving an independent route to the same
-number.
+x = p*(1-p).  The tests check that identity exactly against genfunc's
+closed-form rational function, an independent route to the same number.
 
 simulate() estimates both quantities empirically.  Trial t draws its
 steps from its own splitmix64 stream seeded by mixing (seed, t), so
@@ -42,9 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .genfunc import series_denominator, series_numerator
 from .heightpoly import check_step_probability, power_diff_ratio
-from .poly import eval_at
 
 _U64 = np.uint64
 _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
@@ -144,44 +141,6 @@ def conditional_hit_time(m: int, p: Fraction) -> Fraction:
         return n * (1 + rn) / (1 - rn)
 
     return (f(m) - f(m - 1)) / (2 * p - 1)
-
-
-def path_series_closed(m: int, p: Fraction) -> Fraction:
-    """Value of sum_k (2k+1) A(m-2, k) x^k at x = p*(1-p), closed form.
-
-    Evaluates the rational function
-
-        [x**(m-1) * (1-2m) + P_{2m-1}(x)] / [(1-4x) * P_m(x)**2]
-
-    exactly; it equals hit_probability(m,p)/p * conditional_hit_time(m,p).
-    """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    check_step_probability(p)
-    x = p * (1 - p)
-    # the generating function of genfunc at height bound n = m - 2
-    return eval_at(series_numerator(m - 2), x) / eval_at(series_denominator(m - 2), x)
-
-
-def renewal_identity_holds(m: int, p: Fraction) -> bool:
-    """Check the first-step decomposition of the conditional hit time.
-
-    With H = hit_probability(m, p) and T_i = conditional_hit_time(i, p):
-    a successful walk either steps right immediately (probability p,
-    one step) or steps left yet still succeeds (probability H - p,
-    costing the step plus a return to m-1 plus a fresh passage to m), so
-
-        H * T_m == p + (H - p) * (1 + T_{m-1} + T_m)
-
-    must hold exactly.  conditional_hit_time is a closed form, so this
-    is a check of it, independent of how it is computed.
-    """
-    if m < 3:
-        raise ValueError(f"m must be >= 3, got {m}")
-    hit = hit_probability(m, p)
-    t_prev = conditional_hit_time(m - 1, p)
-    t_cur = conditional_hit_time(m, p)
-    return hit * t_cur == p + (hit - p) * (1 + t_prev + t_cur)
 
 
 def walk_length_to_order(length: int) -> int:

@@ -17,10 +17,10 @@ from dyckwalk.walk import (
     WalkConfig,
     conditional_hit_time,
     hit_probability,
-    path_series_closed,
-    renewal_identity_holds,
     simulate,
 )
+
+from references import path_series_closed, renewal_identity_holds
 
 RATIONAL_GRID = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 7)]
 

@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dyckwalk
 from dyckwalk import cli, oracle, walk
@@ -22,6 +25,7 @@ from dyckwalk.cli import (
     MAX_TABLE_N,
     MAX_VERIFY_K,
     MAX_VERIFY_N,
+    MAX_WALK_EXACT_BITS,
     MAX_WALK_M,
     main,
 )
@@ -579,3 +583,106 @@ def test_counts_past_the_int_str_limit_are_printed(capsys, monkeypatch, default_
     code, out, _ = run_cli(capsys, "table", "--n", "3", "--kmax", "1", "--format", "csv")
     assert code == 0
     assert [row["count"] for row in csv.DictReader(io.StringIO(out))] == ["1", str(big)]
+
+
+# The CLI contract over typed inputs: any argv the parser accepts ends in
+# exactly one record, whose status names the exit code and whose parameters
+# echo the flags.  Inputs are drawn to finish or be refused in milliseconds,
+# so a ceiling whose own run takes seconds is drawn only one past it.
+STATUS_OF_EXIT = {0: "ok", 1: "mismatch", 2: "error"}
+SMALL_MAX = 12
+HUGE = [10 ** 12, 10 ** 40]
+
+
+def flag_values(ceiling: int, low: int = 0, *, at_ceiling: bool = True):
+    """Valid small values half the time; else one below them, one past the
+    ceiling, huge values of either sign and, if its run takes milliseconds,
+    the ceiling itself."""
+    edges = [low - 1, ceiling + 1, *HUGE, *(-v for v in HUGE)] + ([ceiling] if at_ceiling else [])
+    return st.one_of(st.integers(low, SMALL_MAX), st.sampled_from(edges))
+
+
+def accepted_large(value: int, ceiling: int) -> bool:
+    return SMALL_MAX < value <= ceiling
+
+
+@st.composite
+def table_flags(draw):
+    n, kmax = draw(flag_values(MAX_TABLE_N)), draw(flag_values(MAX_TABLE_KMAX))
+    assume(not (accepted_large(n, MAX_TABLE_N) and accepted_large(kmax, MAX_TABLE_KMAX)))
+    return "table", {"n": n, "kmax": kmax}, {}
+
+
+@st.composite
+def verify_flags(draw):
+    n_max, k_max = draw(flag_values(MAX_VERIFY_N)), draw(flag_values(MAX_VERIFY_K))
+    # each route's row at the k ceiling takes tens of milliseconds
+    assume(not (accepted_large(k_max, MAX_VERIFY_K) and n_max > 2))
+    assume(not (accepted_large(n_max, MAX_VERIFY_N) and k_max > 16))
+    return "verify", {"n-max": n_max, "k-max": k_max}, {}
+
+
+@st.composite
+def hpoly_flags(draw):
+    return "hpoly", {"m": draw(flag_values(MAX_HPOLY_M, 1, at_ceiling=False))}, {}
+
+
+def exact_p(num, den) -> tuple[str, str]:
+    return f"{num}/{den}", str(Fraction(num, den))
+
+
+def p_texts():
+    """--p as typed and as the record echoes it: exact, with small or huge
+    numerators and denominators, or decimal."""
+    digits = st.integers(280, 420)
+    return st.one_of(
+        st.builds(exact_p, st.integers(-2, 12), st.integers(1, 12)),
+        st.builds(exact_p, st.integers(-(10 ** 60), 10 ** 60), st.integers(1, 10 ** 60)),
+        digits.map(lambda d: exact_p(1, 10 ** d)),  # below 1e-323 binary64 rounds to 0
+        digits.map(lambda d: exact_p(10 ** d - 1, 10 ** d)),  # and close to 1, to 1
+        st.floats(-1, 2).map(lambda x: (repr(x), str(x))),
+    )
+
+
+# A p whose denominator has 13,288 bits, and the least m that takes m times
+# them past the exact-bits ceiling.
+MANY_BITS_P = exact_p(10 ** 4000 // 3, 10 ** 4000)
+MANY_BITS_M = MAX_WALK_EXACT_BITS // (10 ** 4000).bit_length() + 1
+
+
+@st.composite
+def walk_flags(draw):
+    m, (p_text, p_echo) = draw(st.one_of(
+        st.tuples(flag_values(MAX_WALK_M, 2, at_ceiling=False), p_texts()),
+        st.just((MANY_BITS_M, MANY_BITS_P)),
+    ))
+    flags = {
+        "m": m,
+        "p": p_text,
+        # HUGE trials go past the work ceiling
+        "trials": draw(st.one_of(st.integers(1, 50), st.sampled_from([0, -1, *HUGE]))),
+        "seed": draw(st.integers(-(2 ** 70), 2 ** 70)),
+        "max-steps": draw(st.one_of(st.integers(1, 50), st.sampled_from([0, -1, 10 ** 7]))),
+    }
+    return "walk", flags, {"p": p_echo}  # the value of p, not its text
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(table_flags(), verify_flags(), hpoly_flags(), walk_flags()))
+def test_every_typed_input_ends_in_one_record(drawn):
+    command, flags, echoed = drawn
+    # --flag=value, so that a negative value is not read as a flag
+    code, out, err = run_in_process([command, *(f"--{k}={v}" for k, v in flags.items())])
+    lines = out.splitlines()
+    assert len(lines) == 1, out
+    record = json.loads(lines[0])
+    assert code in STATUS_OF_EXIT
+    assert record["status"] == STATUS_OF_EXIT[code], err
+    assert record["parameters"] == {k.replace("-", "_"): v for k, v in flags.items()} | echoed

@@ -15,11 +15,12 @@ from dyckwalk.heightpoly import (
     check_step_probability,
     divide_by_height_poly,
     height_poly,
-    height_poly_coeff,
     power_diff,
     power_diff_ratio,
 )
-from dyckwalk.poly import add, eval_at, mul, normalize, series_coeffs, shift
+from dyckwalk.poly import add, mul, normalize, series_coeffs
+
+from references import eval_at, height_poly_coeff
 
 
 def recurrence_height_poly(m: int) -> tuple[int, ...]:
@@ -106,7 +107,8 @@ def test_height_poly_rejects_nonpositive_index(m):
 @pytest.mark.parametrize("m", range(3, 41))
 def test_height_poly_satisfies_recurrence(m):
     lhs = height_poly(m)
-    rhs = add(height_poly(m - 1), shift(tuple(-c for c in height_poly(m - 2)), 1))
+    minus_x_prev = (0, *(-c for c in height_poly(m - 2)))  # -x * P_{m-2}
+    rhs = add(height_poly(m - 1), minus_x_prev)
     assert lhs == rhs
 
 
