@@ -16,11 +16,10 @@ an implementation bug and raises DivisibilityError rather than rounding.
 
 The denominator is never expanded.  count_table divides the numerator
 by P_{n+2} twice and then by 1 - 4x, all of it series arithmetic mod
-x**(kmax+1).  A P_{n+2} with coefficients of one digit, or of degree past
-kmax, goes in through its coefficients by poly.series_coeffs; any other
-by the walk sweep heightpoly.divide_by_height_poly, which adds where the
-coefficient division would multiply by coefficients of about 0.7 * n
-bits.
+x**(kmax+1).  A P_{n+2} whose coefficients fit one digit goes in
+through them by poly.series_coeffs; any other by the walk sweep
+heightpoly.divide_by_height_poly, which adds where the coefficient
+division would multiply by coefficients of about 0.7 * n bits.
 """
 
 from __future__ import annotations
@@ -92,14 +91,14 @@ def count_table(n: int, kmax: int) -> CountTable:
     Every division is exact series arithmetic mod x**(kmax+1), so the
     quotient is the same integer series as one division by
     (1 - 4x) * P_{n+2}**2.  P_{n+2} goes in by its coefficients when
-    each fits one digit (n <= 46) or its degree passes kmax; otherwise
-    by heightpoly.divide_by_height_poly, whose additions cost less than
+    each fits one digit (n <= 46); otherwise by
+    heightpoly.divide_by_height_poly, whose additions cost less than
     products with coefficients of many digits: P_1002 has 8,501 30-bit
     digits of them.
     """
     series = series_numerator(n)
     den = height_poly(n + 2)
-    if len(den) - 1 > kmax or max(map(abs, den)).bit_length() <= _DIGIT_BITS:
+    if max(map(abs, den)).bit_length() <= _DIGIT_BITS:
         series = series_coeffs(series, den, kmax)
         series = series_coeffs(series, den, kmax)
     else:

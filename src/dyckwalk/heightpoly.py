@@ -82,11 +82,11 @@ def divide_by_height_poly(series: Sequence[int], m: int, kmax: int) -> list[int]
     value to both neighbours, and quotient coefficient k is read at node
     m-2 at step 2k + m-2: it is sum_j series_j * w_{k-j}.
 
-    Only the nodes of the step's parity hold values, and only those in
-    [t - 2*kmax, t] are updated at step t: nodes above t are still zero,
-    and a node below t - 2*kmax can no longer reach node m-2 by the last
-    step read.  So a step is one map of additions over a slice, and the
-    whole division takes at most (2*kmax + m) * min(kmax, m/2) additions.
+    Only the nodes of the step's parity change at step t, and only those
+    in [t - 2*kmax, t]: nodes above t are still zero, and a node below
+    t - 2*kmax can no longer reach node m-2 by the last step read.  So a
+    step is one map of additions over a strided slice, and the whole
+    division takes at most (2*kmax + m) * min(kmax, m/2) additions.
     """
     if m < 2:
         raise ValueError(f"index must be >= 2, got {m}")
@@ -94,25 +94,18 @@ def divide_by_height_poly(series: Sequence[int], m: int, kmax: int) -> list[int]
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
     top = m - 2
     terms = series[:kmax + 1]
-    # even[a] holds node 2a and odd[a] node 2a-1; odd[0] (node -1) and the
-    # last entry of each, past node top, stay zero
-    even = [0] * (top // 2 + 2)
-    odd = [0] * ((top + 1) // 2 + 2)
-    read, at = odd if top % 2 else even, (top + 1) // 2
+    # nodes[i + 1] holds node i; nodes -1 and top+1 stay zero
+    nodes = [0] * (top + 3)
     quotient = []
     for t in range(2 * kmax + top + 1):
-        lo = max(0, t - 2 * kmax) // 2
-        hi = min(t, top)
-        if t % 2:
-            b = (hi + 1) // 2
-            odd[lo + 1:b + 1] = map(add, even[lo:b], even[lo + 1:b + 1])
-        else:
-            b = hi // 2 + 1
-            even[lo:b] = map(add, odd[lo:b], odd[lo + 1:b + 1])
-            if t // 2 < len(terms):
-                even[0] += terms[t // 2]
+        # the lowest and highest node of t's parity that the step updates
+        lo = max(t - 2 * kmax, t % 2)
+        hi = min(t, top - (top - t) % 2)
+        nodes[lo + 1:hi + 2:2] = map(add, nodes[lo:hi + 1:2], nodes[lo + 2:hi + 3:2])
+        if t % 2 == 0 and t // 2 < len(terms):
+            nodes[1] += terms[t // 2]
         if t >= top and (t - top) % 2 == 0:
-            quotient.append(read[at])
+            quotient.append(nodes[top + 1])
     return quotient
 
 

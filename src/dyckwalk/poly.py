@@ -57,10 +57,9 @@ def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
 
         c_k = num_k - sum_{j=1..k} den_j * c_{k-j}.
 
-    den is cut after x**kmax and reversed once, so that each inner sum is
-    a slice of it against a slice of the coefficients so far, and runs
-    in C: the first d coefficients meet a growing tail of den_d..den_1,
-    every later one all of it.
+    den_1..den_kmax is reversed once into rev, and the coefficients
+    start with len(rev) zeros, those below x**0, so every inner sum is
+    rev against the coefficients just before c_k, and runs in C.
     """
     if not den or den[0] != 1:
         raise ValueError("denominator must have constant term 1")
@@ -68,10 +67,8 @@ def series_coeffs(num: Sequence[int], den: IntPoly, kmax: int) -> list[int]:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
     rev = tuple(reversed(den[1:kmax + 1]))
     d = len(rev)
-    coeffs = list(num[:kmax + 1])
-    coeffs += [0] * (kmax + 1 - len(coeffs))
-    for k in range(1, d):
-        coeffs[k] -= sum(map(operator.mul, rev[d - k:], coeffs[:k]))
-    for k in range(d, kmax + 1):
+    coeffs = [0] * d + list(num[:kmax + 1])
+    coeffs += [0] * (d + kmax + 1 - len(coeffs))
+    for k in range(d, d + kmax + 1):
         coeffs[k] -= sum(map(operator.mul, rev, coeffs[k - d:k]))
-    return coeffs
+    return coeffs[d:]

@@ -170,7 +170,7 @@ def divisor_factor_counts(n: int, kmax: int) -> tuple[int, ...]:
 @example(n=498, extra=3)  # n + 2 = 500 = 2^2 * 5^3, node n is even
 @example(n=FIRST_SWEEP_N, extra=0)  # n + 2 = 49 = 7^2
 def test_divisor_factor_division_equals_one_division_by_the_product(n, extra):
-    # kmax >= deg P_{n+2}, so count_table divides by the walk sweep
+    # n >= FIRST_SWEEP_N, so count_table divides by the walk sweep
     kmax = (n + 1) // 2 + extra
     single = series_coeffs(series_numerator(n), series_denominator(n), kmax)
     assert count_table(n, kmax).counts == counts_from_series(single)
@@ -189,20 +189,22 @@ class Whole(Exception):
     "n, kmax, sweeps",
     [(1000, 2000, True), (100, 4000, True), (998, 500, True)]
     + [(n, kmax, False) for n in range(0, 41) for kmax in (300, 2000)]
-    + [(2000, 300, False), (2000, 999, False), (1000, 100, False), (200, 50, False)]
+    # deg P_{n+2} past kmax does not matter, on either side of n = 47
+    + [(2000, 300, True), (2000, 999, True), (1000, 100, True), (200, 50, True)]
+    + [(FIRST_SWEEP_N - 1, 3, False), (10, 2, False)]
     + [
         (0, 5, False),
         (FIRST_SWEEP_N - 1, 2000, False),  # every coefficient fits one digit
         (FIRST_SWEEP_N, 2000, True),
-        (FIRST_SWEEP_N, 23, False),  # deg P_49 = 24 passes kmax
+        (FIRST_SWEEP_N, 23, True),  # kmax just under deg P_49 = 24
         (FIRST_SWEEP_N, 24, True),
         (2000, 1000, True),
     ],
 )
 def test_division_groups_shape(n, kmax, sweeps, monkeypatch):
-    # count_table divides by P_{n+2} through its coefficients when they fit
-    # one digit or its degree passes kmax, and by the walk sweep otherwise;
-    # the first division tells the route
+    # count_table divides by P_{n+2} through its coefficients when every
+    # one fits one digit (n < FIRST_SWEEP_N), and by the walk sweep
+    # otherwise, whatever kmax is; the first division tells the route
     def sweep(series, m, kmax):
         raise Swept
 
