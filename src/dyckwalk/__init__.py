@@ -15,17 +15,10 @@ from .oracle import (
     count_row_dp,
 )
 
-_WALK_NAMES = frozenset({
-    "WalkConfig",
-    "WalkStats",
-    "conditional_hit_time",
-    "hit_probability",
-    "simulate",
-})
-
 
 def __getattr__(name: str):
-    if name in _WALK_NAMES:
+    # every name of __all__ not bound above is a walk name
+    if name in __all__:
         from . import walk
 
         return getattr(walk, name)

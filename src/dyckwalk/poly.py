@@ -2,8 +2,8 @@
 
 A polynomial is a tuple of Python ints, index j holding the coefficient
 of x**j.  The zero polynomial is the empty tuple; otherwise the last
-entry is nonzero.  Tuples keep values immutable and hashable, so they
-are safe to cache and share.  Everything here is exact: coefficients
+entry is nonzero.  Tuples keep values immutable, so a result can be
+shared without a copy.  Everything here is exact: coefficients
 are arbitrary-precision ints.  ``series_coeffs`` expands a quotient of
 them as a truncated power series.
 """

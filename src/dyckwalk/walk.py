@@ -37,11 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .heightpoly import check_step_probability, power_diff_ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _U64 = np.uint64
 _STREAM_STEP = _U64(0x9E3779B97F4A7C15)
@@ -174,10 +177,10 @@ def _right_step_bound(p: float) -> int:
     return math.ceil(p * 2.0 ** 53) << 11
 
 
-def _per_group(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _per_group(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """How many of the sorted rows fall in each group, given each group's end row."""
-    ends = np.searchsorted(rows, bounds)
-    return ends - np.concatenate(([0], ends[:-1]))
+    cuts = np.searchsorted(rows, ends)
+    return cuts - np.concatenate(([0], cuts[:-1]))
 
 
 def simulate(cfg: WalkConfig) -> WalkStats:
@@ -187,18 +190,19 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     splitmix64 stream with initial state seed + (t+1) * key (mod 2**64),
     one draw per step, regardless of how trials are pooled or blocked.
     At most _POOL trials are live.  They are admitted in contiguous row
-    ranges (groups) of consecutive trial ids, each with its own birth
-    step, and once the live rows fall to half the pool the next group
-    refills it.  Each row keeps its own stream counter, so a pass draws
-    the same offsets for every row: the next B steps of every live trial,
-    B = _DRAW_BUDGET // live (at least 1, at most the steps the oldest
-    group has left before max_steps).  A cumulative sum of the B moves
-    gives each trial's positions, the first step outside 1..m-1 ends the
-    trial (with moves of one it lands on 0 or m), and the ended trials
-    are dropped once per pass; a group that reaches max_steps is
-    truncated whole.  A pass allocates no array of its live rows x B:
-    that product never passes max(_POOL, _DRAW_BUDGET), the size of the
-    buffers made once per call.
+    ranges (groups) of consecutive trial ids, and once the live rows fall
+    to half the pool the next group refills it.  A group is held as its
+    end row and its age, the steps it has taken; compaction moves the end
+    rows down and drops the groups it empties.  Each row keeps its own
+    stream counter, so a pass draws the same offsets for every row: the
+    next B steps of every live trial, B = _DRAW_BUDGET // live (at least
+    1, at most the steps the oldest group has left before max_steps).  A
+    cumulative sum of the B moves gives each trial's positions, the first
+    step outside 1..m-1 ends the trial (with moves of one it lands on 0
+    or m), and the ended trials are dropped once per pass; a group that
+    reaches max_steps is truncated whole.  A pass allocates no array of
+    its live rows x B: that product never passes max(_POOL, _DRAW_BUDGET),
+    the size of the buffers made once per call.
     """
     pool, budget = _POOL, _DRAW_BUDGET
     below = _U64(_right_step_bound(float(cfg.p)))
@@ -213,13 +217,12 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     rights = np.empty(cap, dtype=bool)  # the exits at m, in blocks of one
     pos = np.empty(pool, dtype=np.int64)  # each live row's position minus one
     offsets = np.arange(1, budget + 1, dtype=np.uint64) * _STREAM_STEP
-    sizes = np.empty(0, dtype=np.int64)  # live rows of each group, oldest first
-    births = np.empty(0, dtype=np.int64)  # the step at which each group was admitted
+    ends = np.empty(0, dtype=np.int64)  # each group's end row, oldest first
+    ages = np.empty(0, dtype=np.int64)  # the steps each group has taken
     live = admitted = 0
 
     hits_right = truncated = 0
     len_sum = len_sqsum = 0  # exact int accumulation over right-absorbed trials
-    step = 0
     while True:
         if live <= pool // 2 and admitted < cfg.trials:
             size = min(pool - live, cfg.trials - admitted)
@@ -230,13 +233,12 @@ def simulate(cfg: WalkConfig) -> WalkStats:
             )
             new += seed
             pos[live:live + size] = start - 1
-            sizes = np.append(sizes, size)
-            births = np.append(births, step)
             live += size
             admitted += size
+            ends = np.append(ends, live)
+            ages = np.append(ages, 0)
         if not live:
             break
-        ages = step - births
         block = max(1, min(budget // live, cfg.max_steps - int(ages[0])))
         n = live * block
         # draws age+1 .. age+block of every live trial, one row per trial
@@ -254,19 +256,18 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         paths += pos[:live, None]
         # positions minus one: a step to 0 or m is the first outside 0..m-2
         exits = np.greater_equal(paths.view(np.uint64), m - 1, out=flags[:n].reshape(live, block))
-        bounds = np.cumsum(sizes)  # each group's end row
         # right-absorbed trials counted by group and length, so the sums stay exact ints
         if block > 1:  # a trial ends at its first exit in the block
             ended = exits.any(axis=1)
             at = np.flatnonzero(ended)
             at = at * block + exits.argmax(axis=1)[at]
             at = at[paths.reshape(n)[at] == m - 1]  # row * block + column of each
-            groups = np.searchsorted(bounds * block, at, side="right")
+            groups = np.searchsorted(ends * block, at, side="right")
             counts = np.bincount(groups * block + at % block)
         else:
             ended = exits.reshape(live)
             at = np.flatnonzero(np.equal(paths, m - 1, out=rights[:n].reshape(live, 1)))
-            counts = _per_group(at, bounds)
+            counts = _per_group(at, ends)
         # Each index array is freed once used (at here, keep below), so that no
         # two are live at once and none outlives its pass.
         del at
@@ -280,8 +281,8 @@ def simulate(cfg: WalkConfig) -> WalkStats:
             len_sqsum += n_right * length * length
         kept = np.logical_not(ended, out=ended)
         if ages[0] + block == cfg.max_steps:  # the oldest group is truncated whole
-            truncated += int(np.count_nonzero(kept[:sizes[0]]))
-            kept[:sizes[0]] = False
+            truncated += int(np.count_nonzero(kept[:ends[0]]))
+            kept[:ends[0]] = False
         keep = np.flatnonzero(kept)
         live = keep.size
         # mode="clip" writes straight into out, where the default buffers it
@@ -289,11 +290,11 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         np.take(ctr, keep, out=draws[:live], mode="clip")
         ctr, draws = draws, ctr
         ctr[:live] += offsets[block - 1]
-        sizes = _per_group(keep, bounds)
+        ends = np.searchsorted(keep, ends)
         del keep
-        step += block
-        alive = sizes > 0
-        sizes, births = sizes[alive], births[alive]
+        ages += block
+        alive = ends > np.concatenate(([0], ends[:-1]))  # drop the emptied groups
+        ends, ages = ends[alive], ages[alive]
     hits_left = cfg.trials - hits_right - truncated
     return _estimate(cfg.trials, hits_right, hits_left, truncated, len_sum, len_sqsum)
 

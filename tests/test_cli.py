@@ -262,6 +262,41 @@ def test_walk_csv_carries_the_same_statistics(capsys):
     assert rows["exact_hit_prob"] == "3/7"
 
 
+TRUNCATION_NOTE = "run unreliable: some trials hit the max_steps cap"
+
+
+@pytest.mark.parametrize(
+    "p, max_steps, counts",
+    [("1/2", "900", (973, 25, 2)), ("2/5", "20", (613, 0, 387))],
+    ids=["one-half", "exact"],
+)
+def test_truncated_walk_carries_the_truncation_note(capsys, p, max_steps, counts):
+    args = ("walk", "--m", "40", "--p", p, "--trials", "1000",
+            "--max-steps", max_steps, "--seed", "1")
+    code, record, _ = run_json(capsys, *args)
+    assert code == 0
+    results = record["results"]
+    assert (results["hits_right"], results["hits_left"], results["truncated"]) == counts
+    # the truncation note stands in for the note on a null exact field
+    assert results["note"] == TRUNCATION_NOTE
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = {row["field"]: row["value"] for row in csv.DictReader(io.StringIO(out))}
+    assert rows["note"] == TRUNCATION_NOTE
+    assert int(rows["truncated"]) == counts[2]
+    exact = results["exact"]
+    if p == "1/2":
+        assert exact is None
+        assert not any(field.startswith("exact") for field in rows)
+    else:
+        expected = str(walk.hit_probability(40, Fraction(2, 5)))
+        assert exact["hit_prob"] == rows["exact_hit_prob"] == expected
+        # every absorbed walk hit m, so the estimate has no spread
+        assert results["hit_prob"] == 1.0 and results["hit_prob_se"] == 0.0
+        assert exact["z_hit_prob"] is None  # JSON writes the infinite z-score as null
+        assert rows["exact_z_hit_prob"] == "inf"
+
+
 def test_hpoly_json_and_csv(capsys):
     code, record, _ = run_json(capsys, "hpoly", "--m", "7")
     assert code == 0
@@ -517,6 +552,16 @@ def test_only_walk_imports_numpy(argv, imports_numpy):
         assert loaded == dict.fromkeys(PROBED_MODULES, "False")
 
 
+def test_walk_module_loads_fractions_only_for_type_checking():
+    probe = f"import sys, dyckwalk.walk; print(*(m in sys.modules for m in {PROBED_MODULES!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 0
+    loaded = dict(zip(PROBED_MODULES, proc.stdout.decode().split(), strict=True))
+    assert (loaded["fractions"], loaded["decimal"], loaded["numpy"]) == ("False", "False", "True")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -559,6 +604,9 @@ def test_exact_p_that_binary64_cannot_resolve_is_named_by_its_size(capsys, p, ro
 def test_package_loads_the_walk_names_on_first_use():
     assert dyckwalk.simulate is walk.simulate
     assert dyckwalk.WalkConfig is walk.WalkConfig
+    # the names of __all__ that the package does not bind come from walk
+    lazy = [name for name in dyckwalk.__all__ if name not in vars(dyckwalk)]
+    assert [getattr(dyckwalk, name) for name in lazy] == [getattr(walk, name) for name in lazy]
     with pytest.raises(AttributeError):
         dyckwalk.no_such_name
 

@@ -179,6 +179,12 @@ def test_split_enumeration_matches_the_recursive_one(k):
     assert sum(_maxima_histograms(k)[0]) == sum(_maxima_histograms(k)[1]) == catalan(k)
 
 
+def test_byte_counts_refuse_a_byte_outside_the_values():
+    assert oracle._byte_counts(bytes([1, 2, 2]), range(1, 3)) == [(1, 1), (2, 2)]
+    with pytest.raises(AssertionError, match=r"^2 of 5 path bytes lie outside 1\.\.2$"):
+        oracle._byte_counts(bytes([1, 2, 0, 2, 3]), range(1, 3))
+
+
 def test_reflection_reference_on_known_rows():
     assert [reflection_count(0, k) for k in range(5)] == [1, 0, 0, 0, 0]
     assert [reflection_count(2, k) for k in range(7)] == [1, 1, 2, 4, 8, 16, 32]
