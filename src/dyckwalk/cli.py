@@ -37,13 +37,14 @@ _EXIT_CODES = {"ok": 0, "mismatch": EXIT_MISMATCH, "error": EXIT_ERROR, "defect"
 
 # Input ceilings, checked before anything is built.  Each keeps the
 # largest accepted run under about 1 GB and a minute on 2 cores, as
-# measured at the ceiling: table --n 1997..2000 --kmax 4000 in 3.6-4.8 s
-# and 37-38 MiB (the walk sweep that divides by P_{n+2} grows with n, so
-# the top rows are the slowest tables; six runs on a shared host),
+# measured at the ceiling: table --n 1997..2000 --kmax 4000 in 2.6-3.5 s
+# and 37 MiB, the larger of the process and the child that runs its first
+# sweep (the walk sweeps that divide by P_{n+2} grow with n, so the top
+# rows are the slowest tables; two runs each on a shared host),
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 500000 --p 2/5
 # --trials 1 in 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max
-# 100 --k-max 4000 in 28-31 s and 30 MiB (the DP and series rows are most
-# of it; --n-max 150 took 70 s).  Two walk ceilings bound products:
+# 100 --k-max 4000 in 31-34 s and 28 MiB on a busy host (the DP and series
+# rows are most of it; --n-max 150 took 70 s).  Two walk ceilings bound products:
 # m times the bits of an exact p's denominator, which sizes the exact
 # rationals (--m 150000 --p 511/1023 took 50 s, --m 200000 --p 999/1000
 # 74 s), and the work of the trials, which is their time (the simulator's
@@ -346,8 +347,9 @@ def _run(args) -> int:
     """Run the parsed command, print its record and return the exit code.
 
     A check that only a bug can fail (a series coefficient off its 2k+1
-    divisor, the brute-force filter check, an even-length walk success)
-    ends in status "defect" and exit 3; bad input in "error" and exit 2.
+    divisor, the brute-force filter check, an even-length walk success,
+    a failed child process of count_table's pipeline) ends in status
+    "defect" and exit 3; bad input in "error" and exit 2.
     The record of a run that raised carries its message, which also goes
     to stderr.
     """
@@ -355,7 +357,7 @@ def _run(args) -> int:
     start = time.perf_counter()
     try:
         status, results, rows = args.handler(args)
-    except (DivisibilityError, AssertionError) as exc:
+    except (DivisibilityError, AssertionError, ChildProcessError) as exc:
         status, message = "defect", f"{type(exc).__name__}: {exc}"
     except (ValueError, ArithmeticError) as exc:
         status, message = "error", str(exc)

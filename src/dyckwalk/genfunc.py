@@ -17,21 +17,38 @@ an implementation bug and raises DivisibilityError rather than rounding.
 The denominator is never expanded.  count_table divides the numerator
 by P_{n+2} twice and then by 1 - 4x, all of it series arithmetic mod
 x**(kmax+1).  A P_{n+2} whose coefficients fit one digit goes in
-through them by poly.series_coeffs; any other by the walk sweep
-heightpoly.divide_by_height_poly, which adds where the coefficient
-division would multiply by coefficients of about 0.7 * n bits.
+through them by poly.series_coeffs; any other by the walk sweep of
+heightpoly, which adds where the coefficient division would multiply
+by coefficients of about 0.7 * n bits.  On a large row the two sweeps
+run as a pipeline, the first in a forked child process on the second
+CPU, streaming its quotient to the second sweep through a pipe.
 """
 
 from __future__ import annotations
 
+import os
 import sys
-from typing import NamedTuple
+from contextlib import closing
+from typing import Iterator, NamedTuple
 
-from .heightpoly import divide_by_height_poly, height_poly
+from .heightpoly import divide_by_height_poly, height_poly, sweep_height_poly
 from .poly import IntPoly, mul, series_coeffs
 
 _ONE_MINUS_4X: IntPoly = (1, -4)
 _DIGIT_BITS = sys.int_info.bits_per_digit
+# count_table runs its two sweeps as a pipeline of two processes when
+# the additions that overlap, kmax * min(kmax, n) (the second sweep's
+# steps up to 2 * kmax, which run while the first is still sweeping),
+# reach this.  A fork cost 3.5 ms in a `table` process ((47, 0): 3.9 ms
+# forked, 0.3 ms in one process) and more in `verify`, whose larger heap
+# the parent faults back in page by page after each fork.  Forking every
+# sweep row (medians of three runs, 2 cores): verify --n-max 100 --k-max
+# 1000, overlaps 47,000-100,000, went 3.6 -> 4.2 s, its 54 forks adding
+# 25,000 minor faults and 0.15 s of system time; --k-max 2000, overlaps
+# 94,000-200,000, went 11.3 -> 10.4 s.  In `table`, rows of
+# 50,000-160,000 came out between -16 and +8 ms (medians of 15 pairs,
+# in-process), and (100, 4000), at 400,000, gains about 0.1 s.
+PIPELINE_MIN_WORK = 120_000
 
 
 class DivisibilityError(ArithmeticError):
@@ -91,10 +108,18 @@ def count_table(n: int, kmax: int) -> CountTable:
     Every division is exact series arithmetic mod x**(kmax+1), so the
     quotient is the same integer series as one division by
     (1 - 4x) * P_{n+2}**2.  P_{n+2} goes in by its coefficients when
-    each fits one digit (n <= 46); otherwise by
-    heightpoly.divide_by_height_poly, whose additions cost less than
-    products with coefficients of many digits: P_1002 has 8,501 30-bit
-    digits of them.
+    each fits one digit (n <= 46); otherwise by the walk sweep of
+    heightpoly, whose additions cost less than products with
+    coefficients of many digits: P_1002 has 8,501 30-bit digits of them.
+
+    The two sweeps form a pipeline: the second takes term j of the first
+    one's quotient at its step 2j, and the first reads that term at its
+    step 2j + n.  When the additions that overlap, kmax * min(kmax, n),
+    reach PIPELINE_MIN_WORK and a second CPU is usable, the first sweep runs
+    in a forked child that streams its quotient to the second one here;
+    otherwise the same chain runs in this process.  The arguments are
+    checked before any fork, and a child that fails raises
+    ChildProcessError.
     """
     series = series_numerator(n)
     den = height_poly(n + 2)
@@ -102,7 +127,79 @@ def count_table(n: int, kmax: int) -> CountTable:
         series = series_coeffs(series, den, kmax)
         series = series_coeffs(series, den, kmax)
     else:
-        series = divide_by_height_poly(series, n + 2, kmax)
-        series = divide_by_height_poly(series, n + 2, kmax)
+        first = sweep_height_poly(series, n + 2, kmax)
+        if kmax * min(kmax, n) >= PIPELINE_MIN_WORK and _second_cpu():
+            first = _in_child(first, kmax + 1)
+        with closing(first):
+            series = divide_by_height_poly(first, n + 2, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
     return CountTable(n=n, kmax=kmax, counts=counts_from_series(series))
+
+
+def _second_cpu() -> bool:
+    """Whether this process may fork and run on at least two CPUs."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _in_child(terms: Iterator[int], count: int) -> Iterator[int]:
+    """The `count` items of `terms`, computed in a forked child process.
+
+    The child iterates `terms` and writes each int to a pipe as soon as
+    it has it, as a 4-byte length and its signed little-endian bytes,
+    then ends in os._exit, so it never returns into the caller's stack or
+    flushes a buffer it inherited.  Before the last item is yielded, the
+    pipe must be at its end and the child must have exited with status 0;
+    otherwise ChildProcessError names its wait status.  Closing the
+    generator early kills and reaps the child, so none is left behind.
+    If the fork fails, the items come from this process.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the same terms, from this one
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from terms
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            for value in terms:
+                data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+                data = len(data).to_bytes(4, "little") + data
+                while data:
+                    data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    status = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            for k in range(count):
+                head = pipe.read(4)
+                data = pipe.read(int.from_bytes(head, "little"))
+                if k < count - 1:
+                    yield int.from_bytes(data, "little", signed=True)
+            whole = len(head) == 4 and not pipe.read(1)
+        # The pipe is closed, so a child with more to write ends too.
+        _, status = os.waitpid(pid, 0)
+        if status or not whole:
+            raise ChildProcessError(
+                f"the sweep's child process ended with wait status {status}"
+                + ("" if whole else f" after writing other than {count} terms")
+            )
+        yield int.from_bytes(data, "little", signed=True)
+    finally:
+        if status is None:
+            # Imported here: signal builds its enums on import, a cost
+            # that every other run would pay.
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -20,9 +20,10 @@ by coefficient and to the recurrence itself.
 P_m is also det(I - sqrt(x) * A) for the adjacency matrix A of the path
 on nodes 0..m-2, so 1/P_m counts the walks on that path from one end to
 the other (Flajolet, "Combinatorial aspects of continued fractions",
-1980).  ``divide_by_height_poly(series, m, kmax)`` divides a series by
-P_m that way, with additions alone: it never multiplies by P_m's
-coefficients, which run to about 0.7 * m bits.
+1980).  ``sweep_height_poly(series, m, kmax)`` divides a series by P_m
+that way, with additions alone, and yields the quotient one coefficient
+at a time; ``divide_by_height_poly`` lists them.  Neither multiplies by
+P_m's coefficients, which run to about 0.7 * m bits.
 
 The same module evaluates the exact rational quantities that the
 polynomials encode for an asymmetric walk with step-right probability p:
@@ -42,7 +43,7 @@ enters every denominator downstream.
 from __future__ import annotations
 
 from operator import add
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .poly import IntPoly
 
@@ -72,8 +73,14 @@ def height_poly(m: int) -> IntPoly:
     return tuple(coeffs)
 
 
-def divide_by_height_poly(series: Sequence[int], m: int, kmax: int) -> list[int]:
-    """series / P_m mod x**(kmax+1), by additions alone.
+def divide_by_height_poly(series: Iterable[int], m: int, kmax: int) -> list[int]:
+    """series / P_m mod x**(kmax+1), by additions alone: the coefficients
+    of sweep_height_poly, in a list."""
+    return list(sweep_height_poly(series, m, kmax))
+
+
+def sweep_height_poly(series: Iterable[int], m: int, kmax: int) -> Iterator[int]:
+    """The coefficients of series / P_m mod x**(kmax+1), one at a time.
 
     P_m(x) = det(I - sqrt(x) * A) for the adjacency matrix A of the path
     on nodes 0..m-2, so 1/P_m = sum_k w_k x**k, where w_k counts the walks
@@ -87,26 +94,31 @@ def divide_by_height_poly(series: Sequence[int], m: int, kmax: int) -> list[int]
     t - 2*kmax can no longer reach node m-2 by the last step read.  So a
     step is one map of additions over a strided slice, and the whole
     division takes at most (2*kmax + m) * min(kmax, m/2) additions.
+
+    The arguments are checked at the call, the series as the sweep goes:
+    term j is taken at step 2j, so when coefficient k is given the sweep
+    has taken terms 0..min(kmax, k + (m-2)//2) and no more.  A series
+    that ends early goes on as zeros.
     """
     if m < 2:
         raise ValueError(f"index must be >= 2, got {m}")
     if kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
-    top = m - 2
-    terms = series[:kmax + 1]
+    return _sweep(iter(series), m - 2, kmax)
+
+
+def _sweep(terms: Iterator[int], top: int, kmax: int) -> Iterator[int]:
     # nodes[i + 1] holds node i; nodes -1 and top+1 stay zero
     nodes = [0] * (top + 3)
-    quotient = []
     for t in range(2 * kmax + top + 1):
         # the lowest and highest node of t's parity that the step updates
         lo = max(t - 2 * kmax, t % 2)
         hi = min(t, top - (top - t) % 2)
         nodes[lo + 1:hi + 2:2] = map(add, nodes[lo:hi + 1:2], nodes[lo + 2:hi + 3:2])
-        if t % 2 == 0 and t // 2 < len(terms):
-            nodes[1] += terms[t // 2]
+        if t % 2 == 0 and t <= 2 * kmax:
+            nodes[1] += next(terms, 0)
         if t >= top and (t - top) % 2 == 0:
-            quotient.append(nodes[top + 1])
-    return quotient
+            yield nodes[top + 1]
 
 
 def power_diff(i: int, p: Fraction) -> Fraction:

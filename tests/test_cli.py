@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dyckwalk
-from dyckwalk import cli, oracle, walk
+from dyckwalk import cli, genfunc, oracle, walk
 from dyckwalk.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DEFECT,
@@ -478,6 +478,82 @@ def test_defect_record_in_csv(capsys, monkeypatch):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["error"]
     assert "even-length success at step 4" in rows[1][0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_negative_kmax_of_a_sweep_row_is_refused_before_any_fork(capsys, forks):
+    # with the pipeline's gate open, a check left to the child would fail
+    # there and read as a defect
+    code, record, err = run_json(capsys, "table", "--n", "100", "--kmax", "-1")
+    assert forks == []
+    assert code == 2
+    assert err == "error: kmax must be nonnegative, got -1\n"
+    assert record["status"] == "error"
+    assert record["parameters"] == {"n": 100, "kmax": -1}
+    assert record["results"] == {"error": "kmax must be nonnegative, got -1"}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_a_failed_sweep_child_is_a_defect(capsys, monkeypatch, forks):
+    # the first sweep runs in the child, and fails there after three terms
+    sweep = genfunc.sweep_height_poly
+
+    def faulty(series, m, kmax):
+        for k, term in enumerate(sweep(series, m, kmax)):
+            if k == 3:
+                raise RuntimeError("injected fault in the sweep")
+            yield term
+
+    monkeypatch.setattr(genfunc, "sweep_height_poly", faulty)
+    code, record, err = run_json(capsys, "table", "--n", "100", "--kmax", "40")
+    assert forks == [1]
+    assert code == EXIT_DEFECT == 3
+    message = "ChildProcessError: the sweep's child process ended with wait status 256"
+    assert err.startswith(f"defect: {message}")
+    assert record["status"] == "defect"
+    assert record["parameters"] == {"n": 100, "kmax": 40}
+    assert record["results"]["error"].startswith(message)
+
+
+def processes_with(marker: str) -> list[int]:
+    """The processes whose environment holds `marker`, read from /proc."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/environ", "rb") as f:
+                if marker.encode() in f.read():
+                    found.append(int(pid))
+        except OSError:  # gone, or not ours
+            pass
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to look for processes in")
+def test_pipelined_table_read_by_head_exits_141_and_leaves_no_process():
+    # dyckwalk table --n 1000 --kmax 2000 | head -c 100; the row forks on
+    # two CPUs, and its child inherits the marker
+    marker = f"DYCKWALK_TEST_MARKER={os.getpid()}.{id(object())}"
+    name, value = marker.split("=")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyckwalk", "table", "--n", "1000", "--kmax", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(_child_env(), **{name: value}),
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        left = processes_with(marker)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert len(head) == 100
+    assert code == EXIT_BROKEN_PIPE
+    assert left == []
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 """Closed-form series extraction and the exact count table."""
 
+import os
+import signal
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dyckwalk import genfunc
@@ -14,8 +17,8 @@ from dyckwalk.genfunc import (
     series_denominator,
     series_numerator,
 )
-from dyckwalk.heightpoly import divide_by_height_poly, height_poly
-from dyckwalk.oracle import catalan, count_paths_dp
+from dyckwalk.heightpoly import divide_by_height_poly, height_poly, sweep_height_poly
+from dyckwalk.oracle import catalan, count_paths_dp, count_row_dp
 from dyckwalk.poly import mul, normalize
 
 
@@ -215,3 +218,132 @@ def test_division_groups_shape(n, kmax, sweeps, monkeypatch):
     monkeypatch.setattr(genfunc, "series_coeffs", whole)
     with pytest.raises(Swept if sweeps else Whole):
         count_table(n, kmax)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def swept_twice_counts(n: int, kmax: int) -> tuple[int, ...]:
+    """count_table's route with both sweeps in this process, one after the other."""
+    series = divide_by_height_poly(series_numerator(n), n + 2, kmax)
+    series = divide_by_height_poly(series, n + 2, kmax)
+    return counts_from_series(series_coeffs(series, (1, -4), kmax))
+
+
+@needs_fork
+# the fixture's patches hold for every example, and its count is cleared
+@settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=FIRST_SWEEP_N, max_value=400), st.integers(min_value=0, max_value=400))
+@example(n=FIRST_SWEEP_N, kmax=0)
+@example(n=400, kmax=0)
+@example(n=399, kmax=150)  # kmax < n/2: deg P_{n+2} = 200 passes kmax
+@example(n=300, kmax=300)  # n >= kmax: every count is a Catalan number
+@example(n=60, kmax=400)
+def test_pipelined_sweeps_equal_the_sweeps_in_turn(forks, n, kmax):
+    forks.clear()
+    counts = count_table(n, kmax).counts
+    assert forks == [1]
+    assert counts == swept_twice_counts(n, kmax)
+    assert list(counts) == count_row_dp(n, kmax)
+
+
+@pytest.mark.parametrize("n, kmax", [(FIRST_SWEEP_N, 0), (100, 40), (1000, 2000)])
+def test_one_cpu_runs_the_same_chain_in_this_process(monkeypatch, n, kmax):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(genfunc, "PIPELINE_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
+
+
+@pytest.mark.parametrize("n, kmax", [(FIRST_SWEEP_N, 0), (100, 40)])
+def test_a_fork_that_fails_leaves_the_chain_in_this_process(forks, monkeypatch, n, kmax):
+    def fail():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fail)
+    assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
+    assert forks == [1]
+
+
+def test_rows_below_the_gate_do_not_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked below the gate")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    # verify --n-max 100 --k-max 1000's rows stay in this process
+    for n, kmax in [(FIRST_SWEEP_N, 0), (100, 30), (100, 1000), (2000, 100)]:
+        assert kmax * min(kmax, n) < genfunc.PIPELINE_MIN_WORK
+        assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
+
+
+def faulty_sweep(fault, at):
+    """A first sweep that yields its true terms up to term `at`, or all of
+    them if `at` is None, then meets `fault`; it runs only in the child,
+    since the gate is open."""
+
+    def sweep(series, m, kmax):
+        terms = sweep_height_poly(series, m, kmax)
+
+        def run():
+            for k, term in enumerate(terms):
+                if k == at:
+                    fault()
+                yield term
+            fault()
+
+        return run()
+
+    return sweep
+
+
+def raise_in_child():
+    raise RuntimeError("injected fault in the sweep")
+
+
+def die_in_child():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "fault, status",
+    [(raise_in_child, 1 << 8), (die_in_child, signal.SIGKILL)],
+    ids=["raises", "killed"],
+)
+# at term 3, or after the last term, with every term written
+@pytest.mark.parametrize("at", [3, None], ids=["midway", "at-the-end"])
+def test_a_failed_child_is_a_child_process_error(forks, monkeypatch, fault, status, at):
+    monkeypatch.setattr(genfunc, "sweep_height_poly", faulty_sweep(fault, at))
+    with pytest.raises(ChildProcessError, match=f"wait status {status}\\b"):
+        count_table(100, 40)
+    assert forks == [1]
+
+
+@needs_fork
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_child_that_writes_other_than_kmax_plus_one_terms_is_an_error(forks, monkeypatch, extra):
+    def sweep(series, m, kmax):
+        return iter(range(kmax + 1 + extra))
+
+    monkeypatch.setattr(genfunc, "sweep_height_poly", sweep)
+    with pytest.raises(ChildProcessError, match="wait status 0 after writing other than 41 terms"):
+        count_table(100, 40)
+    assert forks == [1]
+
+
+@needs_fork
+def test_a_second_division_that_raises_kills_and_reaps_the_child(forks, monkeypatch):
+    # the child is still sweeping when the parent gives up; the autouse
+    # fixture of conftest.py fails the test if it is left unreaped
+    def second(series, m, kmax):
+        next(iter(series))
+        raise KeyError("second division")
+
+    monkeypatch.setattr(genfunc, "divide_by_height_poly", second)
+    with pytest.raises(KeyError):
+        count_table(1000, 2000)
+    assert forks == [1]

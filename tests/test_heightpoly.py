@@ -17,6 +17,7 @@ from dyckwalk.heightpoly import (
     height_poly,
     power_diff,
     power_diff_ratio,
+    sweep_height_poly,
 )
 from dyckwalk.poly import add, mul, normalize, series_coeffs
 
@@ -224,6 +225,35 @@ def test_sweep_rejects_bad_arguments():
             divide_by_height_poly((1, 2), m, 5)
     with pytest.raises(ValueError):
         divide_by_height_poly((1, 2), 6, -1)
+
+
+def test_sweep_rejects_bad_arguments_at_the_call():
+    # before the first coefficient is asked for, so a caller can check its
+    # arguments in one process and iterate the sweep in another
+    with pytest.raises(ValueError):
+        sweep_height_poly((1, 2), 1, 5)
+    with pytest.raises(ValueError):
+        sweep_height_poly((1, 2), 6, -1)
+
+
+@pytest.mark.parametrize("m, kmax", [(2, 0), (2, 9), (3, 9), (12, 0), (12, 3), (12, 40), (49, 30)])
+def test_sweep_takes_term_j_at_step_2j(m, kmax):
+    # coefficient k is read at step 2k + m-2, by which the sweep has taken
+    # terms 0..k + (m-2)//2, and never more than terms 0..kmax
+    taken = []
+
+    def terms():
+        for j in range(kmax + 5):
+            taken.append(j)
+            yield j + 1
+
+    series = [j + 1 for j in range(kmax + 5)]
+    quotient = []
+    for k, c in enumerate(sweep_height_poly(terms(), m, kmax)):
+        assert taken == list(range(min(kmax, k + (m - 2) // 2) + 1)), k
+        quotient.append(c)
+    assert taken == list(range(kmax + 1))
+    assert quotient == series_coeffs(series, height_poly(m), kmax)
 
 
 def test_coeff_out_of_range_is_zero():
