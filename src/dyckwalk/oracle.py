@@ -2,9 +2,9 @@
 
 Ground truth for the closed-form extraction in genfunc:
 
-  * count_paths_bruteforce -- enumeration of every up/down sequence that
-    stays nonnegative and returns to zero, each built once as a prefix
-    and a suffix that meet at the middle, filtering on peak height.
+  * count_paths_bruteforce -- every Dyck path of order k as a k-step
+    prefix and suffix that meet at the middle, counted by pairs of
+    classes of half walks with equal maxima, filtered on peak height.
     Exponential; guarded to order <= 14.
   * count_row_dp -- transfer-matrix dynamic program over (step, height)
     states with a rolling row of exact ints; one pass gives a whole row
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterator
@@ -60,25 +61,9 @@ def _half_walks(k: int) -> list[list[tuple[int, int, bool]]]:
     return by_end
 
 
-def _byte_counts(path_bytes: bytes, values: range) -> list[tuple[int, int]]:
-    """(value, count) for each byte value in values, which must hold them all.
-
-    A count that falls short of the bytes means a byte outside values,
-    which only a bug can put there.
-    """
-    counts = [(value, path_bytes.count(value)) for value in values]
-    counted = sum(count for _, count in counts)
-    if counted != len(path_bytes):
-        raise AssertionError(
-            f"{len(path_bytes) - counted} of {len(path_bytes)} path bytes "
-            f"lie outside {values.start}..{values.stop - 1}"
-        )
-    return counts
-
-
 @lru_cache(maxsize=None)
 def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Enumerate all Dyck paths of order k; histogram two per-path maxima.
+    """Count all Dyck paths of order k; histogram two per-path maxima.
 
     Returns (by_height, by_peak): entry h of by_height counts paths whose
     maximum node height is h, entry h of by_peak counts paths whose
@@ -87,58 +72,38 @@ def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     agreement is an observation, not an assumption.
 
     Each path is a k-step prefix from 0 to some height h joined to a
-    k-step suffix from h back to 0.  A suffix read backwards is a walk
-    from 0 to h with the same nodes and peaks, and a walk from 0 never
-    stands higher than the steps it has taken, which is the suffix's
-    pruning (height <= steps left); so the half walks ending at h serve
-    as both the prefixes and the suffixes, and pairing every prefix with
-    every suffix visits each path once, Catalan(k) in all.  A path's
-    maximum is the larger of its halves' maxima, and the junction node h
-    is a peak when the prefix ends with an up step and the suffix starts
-    with a down step (its reversal ends with an up step).
+    k-step suffix from h back to 0.  Read backwards, a suffix is a walk
+    from 0 to h with the same nodes and peaks, and no walk from 0 stands
+    higher than its steps taken (the suffix's pruning, height <= steps
+    left); so the half walks ending at h serve as both halves, and each
+    prefix-suffix pair is one path, Catalan(k) in all.  A path's maximum
+    is the larger of its halves' maxima, and the junction h is a peak
+    when the prefix ends with an up step and the suffix starts with a
+    down step (its reversal ends with an up step).
 
-    The paths through one junction get a byte each for their maximum
-    height and one for their highest peak, in the same order.  When the
-    two byte strings are equal, every path's highest peak is its maximum,
-    checked path by path, and one histogram serves for both; otherwise
-    both are counted and count_paths_bruteforce reports the disagreement.
-    A path byte is the larger of two half bytes, so only the values from
-    the smallest to the largest half byte are counted, and the counts
-    must add up to the paths through the junction.
+    Both maxima depend on a half only through its (maximum, highest
+    peak, last step up), so a junction's halves are grouped by that
+    triple, and each ordered pair (P, S) of classes counts |P| * |S|.
+    Both last steps up, not either: if only one half ends with an up
+    step, the other leaves the junction for h + 1, and its own highest
+    peak is already above h.
     """
     by_height = [0] * (k + 1)
     by_peak = [0] * (k + 1)
-    # larger[a] maps each byte b to max(a, b): bytes.translate then takes
-    # one path's maximum per suffix, a byte per path, at C speed.
-    larger = [bytes([a]) * a + bytes(range(a, 256)) for a in range(k + 1)]
     for h, halves in enumerate(_half_walks(k)):
-        if not halves:  # k - h odd: no walk of k steps ends at h
-            continue
-        maxima = bytes(maxh for maxh, _, _ in halves)
-        peaks = bytes(maxpeak for _, maxpeak, _ in halves)
-        # the suffix peaks seen by a prefix that ends with an up step
-        peaks_after_up = bytes(max(maxpeak, h) if up else maxpeak for _, maxpeak, up in halves)
-        path_heights = b"".join(maxima.translate(larger[maxh]) for maxh, _, _ in halves)
-        path_peaks = b"".join(
-            (peaks_after_up if up else peaks).translate(larger[maxpeak])
-            for _, maxpeak, up in halves
-        )
-        height_counts = _byte_counts(path_heights, range(min(maxima), max(maxima) + 1))
-        if path_peaks == path_heights:
-            peak_counts = height_counts
-        else:
-            peak_counts = _byte_counts(path_peaks, range(min(peaks), max(peaks_after_up) + 1))
-        for value, count in height_counts:
-            by_height[value] += count
-        for value, count in peak_counts:
-            by_peak[value] += count
+        classes = Counter(halves).items()
+        for (max_p, peak_p, up_p), size_p in classes:
+            for (max_s, peak_s, up_s), size_s in classes:
+                paths = size_p * size_s
+                by_height[max(max_p, max_s)] += paths
+                by_peak[max(peak_p, peak_s, h if up_p and up_s else 0)] += paths
     return tuple(by_height), tuple(by_peak)
 
 
 def count_paths_bruteforce(k: int, n: int) -> int:
     """Number of Dyck paths of order k with every peak height <= n.
 
-    Exhaustive enumeration; refuses k > BRUTEFORCE_MAX_ORDER.  The count
+    Exhaustive; refuses k > BRUTEFORCE_MAX_ORDER.  The count
     under the peak-height filter is compared against the count under the
     max-node-height filter on every call, since a Dyck path attains its
     maximum at a peak; disagreement would falsify that equivalence.

@@ -11,8 +11,7 @@ m.  Two exact quantities are computed for p in (0, 1), p != 1/2:
 
 Every successful walk has odd length 2k+1 (one more right step than
 left), and its middle portion is a Dyck path of order k with peak
-height at most m-2; walk_length_to_order converts lengths to orders.
-Through that correspondence the product
+height at most m-2.  Through that correspondence the product
 
     hit_probability(m, p) / p * conditional_hit_time(m, p)
 
@@ -144,13 +143,6 @@ def conditional_hit_time(m: int, p: Fraction) -> Fraction:
         return n * (1 + rn) / (1 - rn)
 
     return (f(m) - f(m - 1)) / (2 * p - 1)
-
-
-def walk_length_to_order(length: int) -> int:
-    """Order k of the Dyck path carried by a successful walk of 2k+1 steps."""
-    if length < 1 or length % 2 == 0:
-        raise ValueError(f"successful walk lengths are odd and positive, got {length}")
-    return (length - 1) // 2
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:

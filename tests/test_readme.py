@@ -1,5 +1,7 @@
-"""The README's examples: each value its comments state is what the code returns."""
+"""The README's examples and names: each value its comments state is what
+the code returns, and each package name it cites exists."""
 
+import importlib
 import json
 import re
 import shlex
@@ -50,3 +52,14 @@ def test_commands_print_the_commented_values(capsys):
                 assert results[STATED_FIELD[argv[0]]] == stated.group(1).split(), command
                 checked.append(argv[0])
     assert sorted(checked) == ["hpoly", "table"]
+
+
+def test_named_module_attributes_exist():
+    # a backticked `module.name` of a dyckwalk module must still be there
+    package = Path(dyckwalk.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    named = re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+    checked = [(module, name) for module, name in named if module in modules]
+    for module, name in checked:
+        assert hasattr(importlib.import_module(f"dyckwalk.{module}"), name), f"{module}.{name}"
+    assert checked

@@ -18,9 +18,6 @@ PACKAGE = Path(dyckwalk.__file__).resolve().parent
 TRACED_PY = PACKAGE.parents[1] / "perfbench" / "traced.py"
 # The dyckwalk console script.
 COMMAND = ("cli", "main")
-# No caller yet: the walk's check of success lengths against the counts
-# will convert lengths to orders with it (ROADMAP item 2).
-ALLOWED = {("walk", "walk_length_to_order")}
 
 Ref = tuple[str, str]  # (module, top-level name)
 
@@ -88,7 +85,7 @@ def surface() -> tuple[set[Ref], set[Ref]]:
     modules = {path.stem: Module(path.stem, ast.parse(path.read_text()))
                for path in sorted(PACKAGE.glob("*.py"))}
     uses: dict[Ref, set[Ref]] = {}
-    roots = {COMMAND} | {resolve(modules, span) for span in traced_spans()} | ALLOWED
+    roots = {COMMAND} | {resolve(modules, span) for span in traced_spans()}
     for stem, module in modules.items():
         for node in module.tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):

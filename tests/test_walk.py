@@ -16,7 +16,6 @@ from dyckwalk.walk import (
     conditional_hit_time,
     hit_probability,
     simulate,
-    walk_length_to_order,
 )
 
 from references import path_series_closed, renewal_identity_holds
@@ -103,18 +102,6 @@ def test_exact_routes_reject_bad_arguments(fn):
         fn(4, Fraction(1, 2))
     with pytest.raises(ValueError):
         fn(4, Fraction(0))
-
-
-def test_walk_length_maps_to_path_order():
-    assert walk_length_to_order(1) == 0
-    assert walk_length_to_order(7) == 3
-    assert walk_length_to_order(13) == 6
-
-
-@pytest.mark.parametrize("length", [0, -3, 4, 10])
-def test_walk_length_rejects_even_or_nonpositive(length):
-    with pytest.raises(ValueError):
-        walk_length_to_order(length)
 
 
 def test_partial_sums_of_the_series_approach_the_closed_value():
