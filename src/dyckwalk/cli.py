@@ -124,7 +124,6 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
     _check_ceiling("--n-max", args.n_max, MAX_VERIFY_N)
     _check_ceiling("--k-max", args.k_max, MAX_VERIFY_K)
     mismatches = []
-    cells = 0
     # One row per route and height bound: the series, one DP pass and the
     # next convergent of one continued-fraction sweep.  Rows are compared
     # whole, and cell by cell only when they disagree.
@@ -135,7 +134,6 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
             count_paths_bruteforce(k, n)
             for k in range(min(args.k_max, BRUTEFORCE_MAX_ORDER) + 1)
         ]
-        cells += args.k_max + 1
         if series == dp == contfrac and brute == dp[:len(brute)]:
             continue
         for k in range(args.k_max + 1):
@@ -146,7 +144,7 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
                 mismatches.append({"n": n, "k": k} | {r: str(v) for r, v in routes.items()})
     status = "ok" if not mismatches else "mismatch"
     results = {
-        "cells": cells,
+        "cells": (args.n_max + 1) * (args.k_max + 1),
         "mismatch_count": len(mismatches),
         "mismatches": mismatches,
         "bruteforce_max_order": BRUTEFORCE_MAX_ORDER,
@@ -198,9 +196,9 @@ def _check_walk_ceilings(args) -> None:
     resolve; all of these are checked before numpy loads."""
     _check_ceiling("--m", args.m, MAX_WALK_M)
     p_value, p_mode = args.p
-    p_step = float(p_value)
     if args.m < 2 or not 0 < p_value < 1:
         return  # WalkConfig names the bad input
+    p_step = float(p_value)
     if not 0 < p_step < 1:  # only an exact p rounds out of (0, 1)
         # The record echoes p; the message gives only its size.
         raise ValueError(
@@ -215,8 +213,11 @@ def _check_walk_ceilings(args) -> None:
                 f"--m times the bits of p's denominator must be at most "
                 f"{MAX_WALK_EXACT_BITS} for the exact comparison, got {bits}"
             )
+    if args.trials < 1 or args.max_steps < 1:
+        return  # WalkConfig names the bad input
     steps = min(_expected_walk_steps(args.m, p_step), args.max_steps)
-    work = args.trials * steps
+    # a count of trials past the float range is past the ceiling too
+    work = args.trials * steps if args.trials < sys.float_info.max else math.inf
     if work > MAX_WALK_WORK:
         raise ValueError(
             f"--trials times the expected steps of a walk, at most --max-steps, "
@@ -376,7 +377,3 @@ def _run(args) -> int:
     }
     _emit(record, rows, args.format)
     return _EXIT_CODES[status]
-
-
-if __name__ == "__main__":
-    sys.exit(main())

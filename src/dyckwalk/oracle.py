@@ -61,7 +61,7 @@ def _half_walks(k: int) -> list[list[tuple[int, int, bool]]]:
     return by_end
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BRUTEFORCE_MAX_ORDER + 1)
 def _maxima_histograms(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Count all Dyck paths of order k; histogram two per-path maxima.
 

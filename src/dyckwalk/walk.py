@@ -84,7 +84,7 @@ class WalkConfig:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
-        if not 0 < float(self.p) < 1:
+        if not 0 < self.p < 1 or not 0 < float(self.p) < 1:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")

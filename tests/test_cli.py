@@ -27,6 +27,7 @@ from dyckwalk.cli import (
     MAX_VERIFY_N,
     MAX_WALK_EXACT_BITS,
     MAX_WALK_M,
+    MAX_WALK_WORK,
     main,
 )
 from dyckwalk.genfunc import CountTable, DivisibilityError
@@ -318,6 +319,8 @@ WALK_DEFAULTS = {"seed": 0, "max_steps": 10 ** 7}
 # 1/10^400 and 1 - 1/10^30, in the lowest terms the record echoes
 P_ROUNDS_TO_0 = "1/1" + "0" * 400
 P_ROUNDS_TO_1 = "9" * 30 + "/1" + "0" * 30
+# a --trials and a --p numerator past the float range
+PAST_FLOATS = "1" + "0" * 400
 
 # argv -> the parameters an ok record of the same flags would echo
 DOMAIN_ERRORS = {
@@ -648,6 +651,7 @@ def test_walk_module_loads_fractions_only_for_type_checking():
         ("walk", "--m", "20000", "--p", "1/2", "--trials", "16000000"),
         ("walk", "--m", "5", "--p", P_ROUNDS_TO_0, "--trials", "10"),
         ("walk", "--m", "5", "--p", P_ROUNDS_TO_1, "--trials", "10"),
+        ("walk", "--m", "3", "--p", "1/3", "--trials", PAST_FLOATS),
     ],
 )
 def test_walk_ceilings_refuse_before_numpy_loads(argv):
@@ -675,6 +679,28 @@ def test_exact_p_that_binary64_cannot_resolve_is_named_by_its_size(capsys, p, ro
         f"error: p rounds to {rounds_to} at the simulator's binary64 resolution; it has "
         f"a {digits[0]}-digit numerator and a {digits[1]}-digit denominator\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("walk", "--m", "3", "--p", "1/3", "--trials", PAST_FLOATS),
+            "--trials times the expected steps of a walk, at most --max-steps, "
+            f"must be at most {MAX_WALK_WORK:.10g}, got inf",
+        ),
+        (
+            ("walk", "--m", "3", "--p", f"{PAST_FLOATS}/3", "--trials", "10"),
+            f"p must lie in (0, 1), got {PAST_FLOATS}/3",
+        ),
+    ],
+    ids=["trials", "p"],
+)
+def test_integers_past_the_float_range_are_refused_by_name(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert json.loads(out)["results"] == {"error": message}
 
 
 def test_package_loads_the_walk_names_on_first_use():
@@ -715,7 +741,7 @@ def test_counts_past_the_int_str_limit_are_printed(capsys, monkeypatch, default_
 # so a ceiling whose own run takes seconds is drawn only one past it.
 STATUS_OF_EXIT = {0: "ok", 1: "mismatch", 2: "error"}
 SMALL_MAX = 12
-HUGE = [10 ** 12, 10 ** 40]
+HUGE = [10 ** 12, 10 ** 40, 10 ** 400]
 
 
 def flag_values(ceiling: int, low: int = 0, *, at_ceiling: bool = True):
@@ -762,6 +788,8 @@ def p_texts():
     return st.one_of(
         st.builds(exact_p, st.integers(-2, 12), st.integers(1, 12)),
         st.builds(exact_p, st.integers(-(10 ** 60), 10 ** 60), st.integers(1, 10 ** 60)),
+        # above 1 and past the float range
+        st.builds(exact_p, st.integers(10 ** 399, 10 ** 400 - 1), st.integers(1, 12)),
         digits.map(lambda d: exact_p(1, 10 ** d)),  # below 1e-323 binary64 rounds to 0
         digits.map(lambda d: exact_p(10 ** d - 1, 10 ** d)),  # and close to 1, to 1
         st.floats(-1, 2).map(lambda x: (repr(x), str(x))),

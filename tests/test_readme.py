@@ -1,5 +1,6 @@
 """The README's examples and names: each value its comments state is what
-the code returns, and each package name it cites exists."""
+the code returns, each package name it cites exists, and it names every
+ceiling of the CLI."""
 
 import importlib
 import json
@@ -8,6 +9,7 @@ import shlex
 from pathlib import Path
 
 import dyckwalk
+from dyckwalk import cli
 from dyckwalk.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,3 +65,11 @@ def test_named_module_attributes_exist():
     for module, name in checked:
         assert hasattr(importlib.import_module(f"dyckwalk.{module}"), name), f"{module}.{name}"
     assert checked
+
+
+def test_every_ceiling_is_named():
+    # a MAX_* constant of the CLI is an input ceiling, documented with the others
+    ceilings = [name for name in vars(cli) if name.startswith("MAX_")]
+    text = README.read_text()
+    assert [name for name in ceilings if f"`{name}`" not in text] == []
+    assert ceilings

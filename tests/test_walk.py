@@ -127,6 +127,8 @@ def test_partial_sums_of_the_series_approach_the_closed_value():
         dict(m=4, p=Fraction(3, 2), trials=10, seed=0),
         dict(m=4, p=0.3, trials=0, seed=0),
         dict(m=4, p=0.3, trials=10, seed=0, max_steps=0),
+        # past the float range: refused as outside (0, 1), not by an overflow
+        dict(m=3, p=Fraction(10 ** 400, 3), trials=1, seed=0),
     ],
 )
 def test_config_validation(kwargs):
