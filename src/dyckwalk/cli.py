@@ -102,10 +102,12 @@ def _parse_p(text: str):
 
     try:
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den)), "exact"
-        return float(text), "decimal"
-    except (ValueError, ZeroDivisionError) as exc:
+            num, den = (int(part) for part in text.split("/", 1))
+            if not den:
+                raise ValueError("zero denominator")
+            return Fraction(num, den)
+        return float(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse probability {text!r}: {exc}")
 
 
@@ -195,7 +197,7 @@ def _check_walk_ceilings(args) -> None:
     """Refuse a walk above a ceiling, or one whose exact p the simulator cannot
     resolve; all of these are checked before numpy loads."""
     _check_ceiling("--m", args.m, MAX_WALK_M)
-    p_value, p_mode = args.p
+    p_value = args.p
     if args.m < 2 or not 0 < p_value < 1:
         return  # WalkConfig names the bad input
     p_step = float(p_value)
@@ -206,7 +208,7 @@ def _check_walk_ceilings(args) -> None:
             f"a {len(str(p_value.numerator))}-digit numerator and a "
             f"{len(str(p_value.denominator))}-digit denominator"
         )
-    if p_mode == "exact" and 2 * p_value != 1:
+    if not isinstance(p_value, float) and 2 * p_value != 1:
         bits = args.m * p_value.denominator.bit_length()
         if bits > MAX_WALK_EXACT_BITS:
             raise ValueError(
@@ -231,18 +233,18 @@ def _cmd_walk(args) -> tuple[str, dict, tuple]:
     # would otherwise be most of every other command's start-up.
     from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
 
-    p_value, p_mode = args.p
+    p_mode = "decimal" if isinstance(args.p, float) else "exact"
     cfg = WalkConfig(
-        m=args.m, p=p_value, trials=args.trials, seed=args.seed, max_steps=args.max_steps
+        m=args.m, p=args.p, trials=args.trials, seed=args.seed, max_steps=args.max_steps
     )
     stats = simulate(cfg)
     # WalkStats' field names are the record's keys
     results = dict(vars(stats), p_mode=p_mode)
     if stats.truncated:
         results["note"] = "run unreliable: some trials hit the max_steps cap"
-    if p_mode == "exact" and 2 * p_value != 1:
-        exact_prob = hit_probability(args.m, p_value)
-        exact_len = conditional_hit_time(args.m, p_value)
+    if p_mode == "exact" and 2 * args.p != 1:
+        exact_prob = hit_probability(args.m, args.p)
+        exact_len = conditional_hit_time(args.m, args.p)
         results["exact"] = {
             "hit_prob": str(exact_prob),
             "hit_prob_float": float(exact_prob),
@@ -340,7 +342,7 @@ def _parameters(args) -> dict:
     """The echo of the command's flags that every record of it carries."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
     if "p" in params:
-        params["p"] = str(params["p"][0])  # the value; its mode is a result
+        params["p"] = str(params["p"])  # the value; its mode is a result
     return params
 
 

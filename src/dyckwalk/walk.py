@@ -35,6 +35,7 @@ estimators.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -194,7 +195,8 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     or m), and the ended trials are dropped once per pass; a group that
     reaches max_steps is truncated whole.  A pass allocates no array of
     its live rows x B: that product never passes max(_POOL, _DRAW_BUDGET),
-    the size of the buffers made once per call.
+    the size of the buffers made once per call.  Right-absorbed trials are
+    counted in one histogram by walk length, from which _estimate works.
     """
     pool, budget = _POOL, _DRAW_BUDGET
     below = _U64(_right_step_bound(float(cfg.p)))
@@ -213,8 +215,8 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     ages = np.empty(0, dtype=np.int64)  # the steps each group has taken
     live = admitted = 0
 
-    hits_right = truncated = 0
-    len_sum = len_sqsum = 0  # exact int accumulation over right-absorbed trials
+    successes: Counter[int] = Counter()  # right-absorbed trials by walk length
+    truncated = 0
     while True:
         if live <= pool // 2 and admitted < cfg.trials:
             size = min(pool - live, cfg.trials - admitted)
@@ -248,7 +250,7 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         paths += pos[:live, None]
         # positions minus one: a step to 0 or m is the first outside 0..m-2
         exits = np.greater_equal(paths.view(np.uint64), m - 1, out=flags[:n].reshape(live, block))
-        # right-absorbed trials counted by group and length, so the sums stay exact ints
+        # right-absorbed trials counted by group and length
         if block > 1:  # a trial ends at its first exit in the block
             ended = exits.any(axis=1)
             at = np.flatnonzero(ended)
@@ -265,12 +267,9 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         del at
         key = np.flatnonzero(counts)  # group * block + column
         lengths = ages[key // block] + key % block + 1
+        # two groups can end trials at the same length in one pass: add, never set
         for length, n_right in zip(lengths.tolist(), counts[key].tolist()):
-            if length % 2 == 0:
-                raise AssertionError(f"even-length success at step {length}")
-            hits_right += n_right
-            len_sum += n_right * length
-            len_sqsum += n_right * length * length
+            successes[length] += n_right
         kept = np.logical_not(ended, out=ended)
         if ages[0] + block == cfg.max_steps:  # the oldest group is truncated whole
             truncated += int(np.count_nonzero(kept[:ends[0]]))
@@ -287,14 +286,18 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         ages += block
         alive = ends > np.concatenate(([0], ends[:-1]))  # drop the emptied groups
         ends, ages = ends[alive], ages[alive]
-    hits_left = cfg.trials - hits_right - truncated
-    return _estimate(cfg.trials, hits_right, hits_left, truncated, len_sum, len_sqsum)
+    return _estimate(cfg.trials, truncated, successes)
 
 
-def _estimate(
-    trials: int, hits_right: int, hits_left: int, truncated: int, len_sum: int, len_sqsum: int
-) -> WalkStats:
-    """WalkStats from the outcome counts and the exact sums of right-absorbed lengths."""
+def _estimate(trials: int, truncated: int, successes: Counter[int]) -> WalkStats:
+    """WalkStats from the outcome counts and the right-absorbed trials by length."""
+    for length in successes:
+        if length % 2 == 0:
+            raise AssertionError(f"even-length success at step {length}")
+    hits_right = sum(successes.values())
+    len_sum = sum(n * length for length, n in successes.items())
+    len_sqsum = sum(n * length * length for length, n in successes.items())
+    hits_left = trials - hits_right - truncated
     absorbed = hits_right + hits_left
     if absorbed:
         hit_prob = hits_right / absorbed

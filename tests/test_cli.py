@@ -575,6 +575,19 @@ def test_usage_errors_exit_with_two(capsys, argv):
     capsys.readouterr()
 
 
+def test_zero_denominator_is_named(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["walk", "--m", "3", "--p", "1/0", "--trials", "10"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --p: cannot parse probability '1/0': zero denominator\n")
+
+
+def test_max_steps_default_is_the_walk_configs():
+    args = cli._build_parser().parse_args(["walk", "--m", "3", "--p", "1/3", "--trials", "1"])
+    assert args.max_steps == walk.WalkConfig.__dataclass_fields__["max_steps"].default
+
+
 def _child_env():
     """The environment of a child interpreter that imports this dyckwalk."""
     src = str(Path(dyckwalk.__file__).resolve().parents[1])

@@ -1,6 +1,7 @@
 """Absorbing-walk module: exact rational routes and the simulator."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -192,7 +193,10 @@ def test_the_integer_step_test_is_the_float_one(p, d, offset):
 
 
 def lockstep_reference(cfg):
-    """The simulator one step per loop iteration: the exact sums behind WalkStats.
+    """The simulator one step per loop iteration: _estimate's arguments.
+
+    They are (trials, truncated, successes), where successes counts the
+    right-absorbed trials by walk length.
 
     Trial t (1-based here) draws from splitmix64 started at
     seed + t * 0xD1B54A32D192ED03 (mod 2**64), adding 0x9E3779B97F4A7C15
@@ -202,7 +206,7 @@ def lockstep_reference(cfg):
     u64 = np.uint64
     states = u64(cfg.seed % 2**64) + np.arange(1, cfg.trials + 1, dtype=u64) * u64(0xD1B54A32D192ED03)
     pos = np.full(cfg.trials, cfg.m - 1, dtype=np.int64)
-    hits_right = hits_left = len_sum = len_sqsum = 0
+    successes = Counter()
     step = 0
     while pos.size and step < cfg.max_steps:
         step += 1
@@ -211,15 +215,12 @@ def lockstep_reference(cfg):
         z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
         z = z ^ (z >> u64(31))
         pos = pos + np.where((z >> u64(11)) * 2.0 ** -53 < float(cfg.p), 1, -1)
-        right, left = pos == cfg.m, pos == 0
-        n_right = int(right.sum())
-        hits_right += n_right
-        hits_left += int(left.sum())
-        len_sum += n_right * step
-        len_sqsum += n_right * step * step
-        keep = ~(right | left)
+        right = pos == cfg.m
+        if n_right := int(right.sum()):
+            successes[step] = n_right
+        keep = ~(right | (pos == 0))
         pos, states = pos[keep], states[keep]
-    return walk._estimate(cfg.trials, hits_right, hits_left, int(pos.size), len_sum, len_sqsum)
+    return cfg.trials, int(pos.size), successes
 
 
 def bits(stats):
@@ -259,8 +260,17 @@ def test_block_stepping_matches_the_lockstep_reference(budget, pool, data):
     # so 60 pools of trials already cross dozens of admission seams; more
     # trials would only make the one-step passes of budget 1 slow.
     cfg = data.draw(walk_configs(min(3000, 60 * pool)))
-    with mock.patch.object(walk, "_DRAW_BUDGET", budget), mock.patch.object(walk, "_POOL", pool):
-        assert bits(simulate(cfg)) == bits(lockstep_reference(cfg))
+    with (
+        mock.patch.object(walk, "_DRAW_BUDGET", budget),
+        mock.patch.object(walk, "_POOL", pool),
+        mock.patch.object(walk, "_estimate", wraps=walk._estimate) as estimate,
+    ):
+        stats = simulate(cfg)
+    expected = lockstep_reference(cfg)
+    # The whole success histogram, not only the sums WalkStats reads from it:
+    # lengths {1, 9, 11} and {3, 5, 13} have the same count, sum and squares.
+    assert estimate.call_args.args == expected
+    assert bits(stats) == bits(walk._estimate(*expected))
 
 
 @pytest.mark.parametrize(
