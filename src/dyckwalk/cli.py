@@ -57,12 +57,14 @@ MAX_WALK_EXACT_BITS = 1_500_000
 # A walk's work is trials * (expected steps, at most --max-steps), in
 # trial-steps.  A trial's admission and counting add no measurable time to
 # its steps: a trial-step took 11.1-13.2 ns from m = 2 to m = 40, trials
-# of one step included, and 19 ns at m = 1000 (in-process, 2 cores,
-# fastest of three runs), so trials carry no extra weight.  At the ceiling
-# --m 1000 --p 1/2 --trials 1501501 took 50 s at 33 MiB, the slowest
-# measured; --m 3000 took 41 s, --m 300 30 s, --m 3 --p 1/3 (700 million
-# trials) 22 s, --m 2 (1.5 billion) 20 s and --m 1000 --max-steps 1 (1.5
-# billion) 19 s, all at 32-33 MiB (--seed 5).
+# of one step included, and 19 ns at m = 1000 (in one process, 2 cores,
+# fastest of three runs), so trials carry no extra weight.  At the ceiling,
+# with the trials split between two processes, --m 1000 --p 1/2 --trials
+# 1501501 took 26 s at 33 MiB, the slowest measured (40 s in one process
+# on the same host); --m 3000 took 18 s, --m 300 12 s, --m 3 --p 1/3 (700
+# million trials) 9.6 s (18 s in one), --m 2 (1.5 billion) 8.4 s (17 s)
+# and --m 1000 --max-steps 1 (1.5 billion) 8.1 s, all at 32-33 MiB, the
+# larger of the two processes (--seed 5, one run each).
 MAX_WALK_WORK = 15 * 10 ** 8
 MAX_VERIFY_N = 100
 MAX_VERIFY_K = 4000
@@ -310,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--trials", type=int, required=True, help="number of walks")
     p_walk.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_walk.add_argument("--max-steps", type=int, default=10 ** 7,
-                        help="per-trial step cap (default 1e7)")
+                        help="per-trial step cap (default %(default)s)")
     add_format(p_walk)
     p_walk.set_defaults(handler=_cmd_walk)
 

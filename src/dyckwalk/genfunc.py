@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import closing
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .heightpoly import divide_by_height_poly, height_poly, sweep_height_poly
 from .poly import IntPoly, mul, series_coeffs
@@ -49,6 +49,8 @@ _DIGIT_BITS = sys.int_info.bits_per_digit
 # 50,000-160,000 came out between -16 and +8 ms (medians of 15 pairs,
 # in-process), and (100, 4000), at 400,000, gains about 0.1 s.
 PIPELINE_MIN_WORK = 120_000
+# The length that ends a child's stream: every int takes at least one byte.
+_END = bytes(4)
 
 
 class DivisibilityError(ArithmeticError):
@@ -129,7 +131,7 @@ def count_table(n: int, kmax: int) -> CountTable:
     else:
         first = sweep_height_poly(series, n + 2, kmax)
         if kmax * min(kmax, n) >= PIPELINE_MIN_WORK and _second_cpu():
-            first = _in_child(first, kmax + 1)
+            first = _in_child(first, "sweep", kmax + 1)
         with closing(first):
             series = divide_by_height_poly(first, n + 2, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
@@ -145,17 +147,21 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _in_child(terms: Iterator[int], count: int) -> Iterator[int]:
-    """The `count` items of `terms`, computed in a forked child process.
+def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iterator[int]:
+    """The items of `terms`, computed in a child process forked at once.
 
-    The child iterates `terms` and writes each int to a pipe as soon as
-    it has it, as a 4-byte length and its signed little-endian bytes,
-    then ends in os._exit, so it never returns into the caller's stack or
-    flushes a buffer it inherited.  Before the last item is yielded, the
-    pipe must be at its end and the child must have exited with status 0;
-    otherwise ChildProcessError names its wait status.  Closing the
-    generator early kills and reaps the child, so none is left behind.
-    If the fork fails, the items come from this process.
+    The child is running when this returns, so the caller can work
+    alongside it before it reads the items.  The child iterates `terms`
+    and writes each int to a pipe as soon as it has it, as a 4-byte length
+    and its signed little-endian bytes, then a length of zero to end the
+    stream, and exits by os._exit, so it never returns into the caller's
+    stack or flushes a buffer it inherited.  The stream must have its end
+    and the child must have exited with status 0 before the iterator ends,
+    and before its `count`-th item is yielded when `count` is given (the
+    caller may stop reading there); otherwise ChildProcessError names
+    `what` and the wait status.  Closing the iterator early kills and
+    reaps the child, so none is left behind.  If the fork fails, the
+    items come from this process.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -163,39 +169,57 @@ def _in_child(terms: Iterator[int], count: int) -> Iterator[int]:
     except OSError:  # no process to spare: the same terms, from this one
         os.close(read_fd)
         os.close(write_fd)
-        yield from terms
-        return
+        return iter(terms)
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
             for value in terms:
                 data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
-                data = len(data).to_bytes(4, "little") + data
-                while data:
-                    data = data[os.write(write_fd, data):]
+                _write(write_fd, len(data).to_bytes(4, "little") + data)
+            _write(write_fd, _END)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
+    items = _from_child(pid, read_fd, what, count)
+    next(items)  # into its try, so that closing it kills and reaps the child
+    return items
+
+
+def _write(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _from_child(pid: int, read_fd: int, what: str, count: int | None) -> Iterator[int]:
+    """_in_child's items, read from the child `pid` through `read_fd`."""
+    pipe = open(read_fd, "rb")
     status = None
     try:
-        with open(read_fd, "rb") as pipe:
-            for k in range(count):
+        yield 0  # taken by _in_child
+        written = 0
+        while (head := pipe.read(4)) != _END and len(head) == 4:
+            data = pipe.read(int.from_bytes(head, "little"))
+            written += 1
+            if written == count:  # held back until the child is known to have ended well
                 head = pipe.read(4)
-                data = pipe.read(int.from_bytes(head, "little"))
-                if k < count - 1:
-                    yield int.from_bytes(data, "little", signed=True)
-            whole = len(head) == 4 and not pipe.read(1)
-        # The pipe is closed, so a child with more to write ends too.
+                break
+            yield int.from_bytes(data, "little", signed=True)
+        whole = head == _END and count in (None, written) and not pipe.read(1)
+        # Closed first, so that a child with more to write ends too.
+        pipe.close()
         _, status = os.waitpid(pid, 0)
         if status or not whole:
+            short = "a stream cut short" if count is None else f"other than {count} terms"
             raise ChildProcessError(
-                f"the sweep's child process ended with wait status {status}"
-                + ("" if whole else f" after writing other than {count} terms")
+                f"the {what}'s child process ended with wait status {status}"
+                + ("" if whole else f" after writing {short}")
             )
-        yield int.from_bytes(data, "little", signed=True)
+        if count is not None:
+            yield int.from_bytes(data, "little", signed=True)
     finally:
+        pipe.close()
         if status is None:
             # Imported here: signal builds its enums on import, a cost
             # that every other run would pay.

@@ -29,18 +29,24 @@ pass draws the next B steps of every live trial, with B chosen so that
 live trials x B stays within a fixed budget of draws (B = 1 while many
 trials are live, long blocks for the last few).  Trials still unresolved
 after max_steps are counted as truncated and excluded from the
-estimators.
+estimators.  A run's whole outcome is its truncated count and one
+histogram of the right-absorbed trials by length.  So a run of more than
+one pool splits its ids in two contiguous halves when a second CPU is
+usable: the upper half runs in a forked child, and its histogram, added
+to this process's, gives the same results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from .genfunc import _in_child, _second_cpu
 from .heightpoly import check_step_probability, power_diff_ratio
 
 if TYPE_CHECKING:
@@ -181,7 +187,40 @@ def simulate(cfg: WalkConfig) -> WalkStats:
 
     Deterministic for a fixed configuration: trial t consumes the
     splitmix64 stream with initial state seed + (t+1) * key (mod 2**64),
-    one draw per step, regardless of how trials are pooled or blocked.
+    one draw per step, regardless of how trials are pooled, blocked or
+    split between processes.  A run of more than one pool (_POOL trials)
+    splits its ids in two contiguous halves when a second CPU is usable:
+    a child forked first runs the upper half and writes its outcome to a
+    pipe while this process runs the lower half (if the fork fails, both
+    run here).  The two success histograms add exactly, and _estimate
+    works once from their sum, with the even-length defect check, so the
+    statistics are those of one process bit for bit.
+    """
+    if cfg.trials > _POOL and _second_cpu():
+        half = cfg.trials // 2
+        upper = _in_child(_outcome(cfg, half, cfg.trials), "walk")
+        with closing(upper):
+            successes, truncated = _run(cfg, 0, half)
+            truncated += next(upper)
+            for length, n_right in zip(upper, upper):
+                successes[length] += n_right
+    else:
+        successes, truncated = _run(cfg, 0, cfg.trials)
+    return _estimate(cfg.trials, truncated, successes)
+
+
+def _outcome(cfg: WalkConfig, first: int, last: int) -> Iterator[int]:
+    """_run's outcome as ints: the truncated trials, then (length, trials) pairs."""
+    successes, truncated = _run(cfg, first, last)
+    yield truncated
+    for pair in successes.items():
+        yield from pair
+
+
+def _run(cfg: WalkConfig, first: int, last: int) -> tuple[Counter[int], int]:
+    """The right-absorbed trials by walk length, and the truncated trials,
+    of the trials with ids first..last-1.
+
     At most _POOL trials are live.  They are admitted in contiguous row
     ranges (groups) of consecutive trial ids, and once the live rows fall
     to half the pool the next group refills it.  A group is held as its
@@ -196,7 +235,7 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     reaches max_steps is truncated whole.  A pass allocates no array of
     its live rows x B: that product never passes max(_POOL, _DRAW_BUDGET),
     the size of the buffers made once per call.  Right-absorbed trials are
-    counted in one histogram by walk length, from which _estimate works.
+    counted in one histogram by walk length.
     """
     pool, budget = _POOL, _DRAW_BUDGET
     below = _U64(_right_step_bound(float(cfg.p)))
@@ -213,13 +252,13 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     offsets = np.arange(1, budget + 1, dtype=np.uint64) * _STREAM_STEP
     ends = np.empty(0, dtype=np.int64)  # each group's end row, oldest first
     ages = np.empty(0, dtype=np.int64)  # the steps each group has taken
-    live = admitted = 0
+    live, admitted = 0, first
 
     successes: Counter[int] = Counter()  # right-absorbed trials by walk length
     truncated = 0
     while True:
-        if live <= pool // 2 and admitted < cfg.trials:
-            size = min(pool - live, cfg.trials - admitted)
+        if live <= pool // 2 and admitted < last:
+            size = min(pool - live, last - admitted)
             # the stream states seed + id * key of the next ids, in place
             new = ctr[live:live + size]
             np.multiply(
@@ -286,7 +325,7 @@ def simulate(cfg: WalkConfig) -> WalkStats:
         ages += block
         alive = ends > np.concatenate(([0], ends[:-1]))  # drop the emptied groups
         ends, ages = ends[alive], ages[alive]
-    return _estimate(cfg.trials, truncated, successes)
+    return successes, truncated
 
 
 def _estimate(trials: int, truncated: int, successes: Counter[int]) -> WalkStats:

@@ -20,8 +20,9 @@ def no_child_left_behind():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Open the gate of count_table's pipeline to every sweep row, as on
-    a host with two CPUs, and count the forks this process makes."""
+    """Open the gates of count_table's pipeline, to every sweep row, and of
+    walk.simulate's split, to every run of more than one pool, as on a host
+    with two CPUs, and count the forks this process makes."""
     made = []
     fork = os.fork
 

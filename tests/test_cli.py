@@ -518,6 +518,35 @@ def test_a_failed_sweep_child_is_a_defect(capsys, monkeypatch, forks):
     assert record["results"]["error"].startswith(message)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize(
+    "exit_code, status", [(1, 1 << 8), (0, 0)], ids=["exits-nonzero", "short-stream"]
+)
+def test_a_failed_walk_child_is_a_defect(capsys, monkeypatch, forks, exit_code, status):
+    # the upper half runs in the child, which ends after writing its
+    # truncated count and no (length, count) pair
+    outcome = walk._outcome
+
+    def faulty(cfg, first, last):
+        yield next(outcome(cfg, first, last))
+        os._exit(exit_code)
+
+    monkeypatch.setattr(walk, "_outcome", faulty)
+    trials = walk._POOL + 1
+    code, record, err = run_json(capsys, "walk", "--m", "3", "--p", "1/3", "--trials", str(trials))
+    assert forks == [1]
+    assert code == EXIT_DEFECT == 3
+    message = (
+        f"ChildProcessError: the walk's child process ended with wait status {status} "
+        "after writing a stream cut short"
+    )
+    assert err == f"defect: {message}\n"
+    assert record["command"] == "walk"
+    assert record["status"] == "defect"
+    assert record["parameters"] == {"m": 3, "p": "1/3", "trials": trials, "seed": 0, "max_steps": 10 ** 7}
+    assert record["results"] == {"error": message}
+
+
 def processes_with(marker: str) -> list[int]:
     """The processes whose environment holds `marker`, read from /proc."""
     found = []
@@ -583,9 +612,13 @@ def test_zero_denominator_is_named(capsys):
     assert err.endswith("error: argument --p: cannot parse probability '1/0': zero denominator\n")
 
 
-def test_max_steps_default_is_the_walk_configs():
+def test_max_steps_default_is_the_walk_configs(capsys):
+    default = walk.WalkConfig.__dataclass_fields__["max_steps"].default
     args = cli._build_parser().parse_args(["walk", "--m", "3", "--p", "1/3", "--trials", "1"])
-    assert args.max_steps == walk.WalkConfig.__dataclass_fields__["max_steps"].default
+    assert args.max_steps == default
+    with pytest.raises(SystemExit):
+        main(["walk", "--help"])
+    assert f"per-trial step cap (default {default})" in " ".join(capsys.readouterr().out.split())
 
 
 def _child_env():

@@ -116,12 +116,16 @@ def test_every_name_in_src_has_a_caller_outside_the_tests():
     assert sorted(reached - defined) == []
 
 
-def test_walk_imports_only_heightpoly_from_the_package():
+def test_walk_imports_only_heightpoly_and_the_fork_helpers():
+    # The tests check walk's exact routes against genfunc's closed form, so
+    # walk takes none of its counting code: from genfunc only the process
+    # helpers that split a run of many pools between two CPUs.
     tree = ast.parse((PACKAGE / "walk.py").read_text())
     imported = {
-        node.module or alias.name
+        (node.module, alias.name)
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
     }
-    assert imported == {"heightpoly"}
+    assert {module for module, _ in imported} == {"heightpoly", "genfunc"}
+    assert {name for module, name in imported if module == "genfunc"} == {"_in_child", "_second_cpu"}

@@ -1,5 +1,7 @@
 """Absorbing-walk module: exact rational routes and the simulator."""
 
+import os
+import signal
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dyckwalk import walk
@@ -22,6 +24,8 @@ from dyckwalk.walk import (
 from references import path_series_closed, renewal_identity_holds
 
 PROBABILITY_GRID = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 7)]
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
 
 @pytest.mark.parametrize("p", PROBABILITY_GRID)
@@ -244,6 +248,7 @@ def walk_configs(max_trials):
     )
 
 
+@needs_fork
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "budget, pool",
@@ -253,19 +258,24 @@ def walk_configs(max_trials):
         for pool in (1, 3, walk._POOL)
     ],
 )
-@settings(max_examples=60, deadline=None)
+# the fixture's patches hold for every example, and its count is cleared
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_block_stepping_matches_the_lockstep_reference(budget, pool, data):
+def test_block_stepping_matches_the_lockstep_reference(forks, budget, pool, data):
     # With a pool of one or three, a new group starts every trial or two,
     # so 60 pools of trials already cross dozens of admission seams; more
-    # trials would only make the one-step passes of budget 1 slow.
+    # trials would only make the one-step passes of budget 1 slow.  A run
+    # of more than one pool splits in two at the gate the fixture opens, so
+    # with those pools the seam between the halves is checked as well.
     cfg = data.draw(walk_configs(min(3000, 60 * pool)))
+    forks.clear()
     with (
         mock.patch.object(walk, "_DRAW_BUDGET", budget),
         mock.patch.object(walk, "_POOL", pool),
         mock.patch.object(walk, "_estimate", wraps=walk._estimate) as estimate,
     ):
         stats = simulate(cfg)
+    assert len(forks) == (cfg.trials > pool)
     expected = lockstep_reference(cfg)
     # The whole success histogram, not only the sums WalkStats reads from it:
     # lengths {1, 9, 11} and {3, 5, 13} have the same count, sum and squares.
@@ -273,50 +283,173 @@ def test_block_stepping_matches_the_lockstep_reference(budget, pool, data):
     assert bits(stats) == bits(walk._estimate(*expected))
 
 
-@pytest.mark.parametrize(
-    "cfg, expected",
-    [
-        (WalkConfig(m=150, p=0.5, trials=4000, seed=1001), (3975, 25, 0, "104.1577358490566")),
-        (WalkConfig(m=2000, p=Fraction(2, 5), trials=200, seed=1), (119, 81, 0, "3.7899159663865545")),
-        (
-            WalkConfig(m=40, p=0.5, trials=3000, seed=11, max_steps=900),
-            (2923, 64, 13, "20.913787204926447"),
-        ),
-        # a run of many pools, so of many admitted groups
-        (WalkConfig(m=3, p=Fraction(1, 3), trials=10**6, seed=42), (428513, 571487, 0, "1.5731728092263246")),
-        # the second bulk regime, across several admissions
-        (WalkConfig(m=8, p=Fraction(2, 5), trials=2**18, seed=8), (171430, 90714, 0, "3.900484162631978")),
-    ],
-)
+GOLDEN_RUNS = [
+    (WalkConfig(m=150, p=0.5, trials=4000, seed=1001), (3975, 25, 0, "104.1577358490566")),
+    (WalkConfig(m=2000, p=Fraction(2, 5), trials=200, seed=1), (119, 81, 0, "3.7899159663865545")),
+    (
+        WalkConfig(m=40, p=0.5, trials=3000, seed=11, max_steps=900),
+        (2923, 64, 13, "20.913787204926447"),
+    ),
+    # a run of many pools, so of many admitted groups
+    (WalkConfig(m=3, p=Fraction(1, 3), trials=10**6, seed=42), (428513, 571487, 0, "1.5731728092263246")),
+    # the second bulk regime, across several admissions
+    (WalkConfig(m=8, p=Fraction(2, 5), trials=2**18, seed=8), (171430, 90714, 0, "3.900484162631978")),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", GOLDEN_RUNS)
 def test_golden_runs(cfg, expected):
     stats = simulate(cfg)
     assert (stats.hits_right, stats.hits_left, stats.truncated, repr(stats.mean_hit_len)) == expected
 
 
-def test_memory_does_not_grow_with_trials():
+def traced_peak(cfg):
+    """The peak of this process's traced memory in simulate(cfg); numpy
+    reports its buffers to tracemalloc, and a forked child's are its own."""
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@needs_fork
+def test_memory_does_not_grow_with_trials(forks):
+    # Each bound is on one process.  With the gate shut, this one runs all
+    # 4 pools of trials; open, it runs the lower 4 pools of 8 and adds the
+    # child's histogram, while the child runs the upper 4 by the same code.
     def peak(trials):
-        # numpy reports its buffers to tracemalloc
-        tracemalloc.start()
-        try:
-            simulate(WalkConfig(m=3, p=Fraction(1, 3), trials=trials, seed=1))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(WalkConfig(m=3, p=Fraction(1, 3), trials=trials, seed=1))
 
-    assert peak(4 * walk._POOL) <= 1.25 * peak(walk._POOL)
+    one_pool = peak(walk._POOL)
+    with mock.patch.object(walk, "_second_cpu", lambda: False):
+        assert peak(4 * walk._POOL) <= 1.25 * one_pool
+    assert forks == []
+    assert peak(8 * walk._POOL) <= 1.25 * one_pool
+    assert forks == [1]
 
 
-def test_footprint_is_a_few_pool_sized_arrays():
+@needs_fork
+def test_footprint_is_a_few_pool_sized_arrays(forks):
     # The pass works in buffers made once per call (four of _POOL 64-bit
     # words, three small ones) and frees each index array once it is used;
     # the peak, 5.38 arrays of _POOL int64s, comes at the first admission.
-    tracemalloc.start()
-    try:
-        simulate(WalkConfig(m=3, p=Fraction(1, 3), trials=4 * walk._POOL, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * 8 * walk._POOL
+    # The bound is on this process: all of the trials with the gate shut,
+    # the lower half of them with it open.
+    cfg = WalkConfig(m=3, p=Fraction(1, 3), trials=4 * walk._POOL, seed=1)
+    with mock.patch.object(walk, "_second_cpu", lambda: False):
+        assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
+    assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
+    assert forks == [1]
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        *(cfg for cfg, _ in GOLDEN_RUNS if cfg.trials > walk._POOL),
+        # an odd count, so halves of unequal size, with truncated trials in both
+        WalkConfig(m=5, p=Fraction(2, 5), trials=2 * walk._POOL + 1, seed=7, max_steps=20),
+    ],
+    ids=["m3", "m8", "odd"],
+)
+def test_a_split_run_gives_estimate_what_one_process_gives(forks, cfg):
+    with mock.patch.object(walk, "_estimate", wraps=walk._estimate) as estimate:
+        with mock.patch.object(walk, "_second_cpu", lambda: False):
+            whole = simulate(cfg)
+        assert forks == []
+        split = simulate(cfg)
+        assert forks == [1]
+    one, two = (call.args for call in estimate.call_args_list)
+    # the whole histogram, not only the WalkStats read from it
+    assert one == two
+    assert bits(whole) == bits(split)
+
+
+def after_the_first_term(fault):
+    """An upper half whose child meets `fault` once it has written the
+    truncated count, before any (length, count) pair."""
+    outcome = walk._outcome
+
+    def faulty(cfg, first, last):
+        terms = outcome(cfg, first, last)
+        yield next(terms)
+        fault()
+        yield from terms
+
+    return faulty
+
+
+def raise_in_child():
+    raise RuntimeError("injected fault in the walk's upper half")
+
+
+def die_in_child():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def exit_well_in_child():
+    os._exit(0)
+
+
+# each fault, and the child's wait status; none writes the stream's end
+CHILD_FAULTS = [
+    pytest.param(raise_in_child, 1 << 8, id="raises"),
+    pytest.param(die_in_child, signal.SIGKILL, id="killed"),
+    pytest.param(exit_well_in_child, 0, id="exits-0"),
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("fault, status", CHILD_FAULTS)
+def test_a_failed_walk_child_is_a_child_process_error(forks, monkeypatch, fault, status):
+    monkeypatch.setattr(walk, "_outcome", after_the_first_term(fault))
+    message = f"the walk's child process ended with wait status {status} after writing a stream cut short"
+    with pytest.raises(ChildProcessError, match=f"^{message}$"):
+        simulate(WalkConfig(m=3, p=Fraction(1, 3), trials=walk._POOL + 1, seed=1))
+    assert forks == [1]
+
+
+@needs_fork
+def test_a_fork_that_fails_runs_the_walk_in_this_process(forks, monkeypatch):
+    def fail():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    cfg = WalkConfig(m=8, p=Fraction(2, 5), trials=2 * walk._POOL + 1, seed=3)
+    with mock.patch.object(walk, "_second_cpu", lambda: False):
+        whole = simulate(cfg)
+    monkeypatch.setattr(os, "fork", fail)
+    assert bits(simulate(cfg)) == bits(whole)
+    assert forks == [1]
+
+
+@needs_fork
+def test_a_lower_half_that_raises_kills_and_reaps_the_child(forks, monkeypatch):
+    # the child is still walking when this process gives up; the autouse
+    # fixture of conftest.py fails the test if it is left unreaped
+    run, parent = walk._run, os.getpid()
+
+    def lower_half_fails(cfg, first, last):
+        if os.getpid() == parent:
+            raise AssertionError("even-length success at step 2")
+        return run(cfg, first, last)
+
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(walk, "_run", lower_half_fails)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    with pytest.raises(AssertionError, match="even-length success at step 2"):
+        simulate(WalkConfig(m=1000, p=0.5, trials=4 * walk._POOL, seed=1))
+    assert forks == [1]
+    assert statuses == [signal.SIGKILL]  # killed, not waited out
 
 
 class _RightEndMovesOut:
@@ -342,3 +475,12 @@ def test_even_length_success_is_a_defect(budget):
     with mock.patch.object(walk, "_DRAW_BUDGET", budget):
         with pytest.raises(AssertionError, match="even-length success at step 2"):
             simulate(_RightEndMovesOut())
+
+
+@needs_fork
+def test_even_length_success_of_a_split_run_is_a_defect(forks):
+    # the check runs once, on the sum of the two halves' histograms
+    with mock.patch.object(walk, "_POOL", 10):
+        with pytest.raises(AssertionError, match="even-length success at step 2"):
+            simulate(_RightEndMovesOut())
+    assert forks == [1]
