@@ -231,6 +231,9 @@ def _check_walk_ceilings(args) -> None:
 
 def _cmd_walk(args) -> tuple[str, dict, tuple]:
     _check_walk_ceilings(args)
+    # Before numpy loads: the walk makes no BLAS call, and OpenBLAS's worker
+    # thread burns CPU that a split run's child needs; a set value stands.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Imported here, not at the top: only walk needs numpy, whose import
     # would otherwise be most of every other command's start-up.
     from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
@@ -353,10 +356,10 @@ def _run(args) -> int:
 
     A check that only a bug can fail (a series coefficient off its 2k+1
     divisor, the brute-force filter check, an even-length walk success,
-    a failed child process of count_table's pipeline) ends in status
-    "defect" and exit 3; bad input in "error" and exit 2.
-    The record of a run that raised carries its message, which also goes
-    to stderr.
+    a child of count_table's pipeline or of walk's split that failed or
+    cut its stream short) ends in status "defect" and exit 3; bad input
+    in "error" and exit 2.  The record of a run that raised carries its
+    message, which also goes to stderr.
     """
     params = _parameters(args)
     start = time.perf_counter()

@@ -117,9 +117,9 @@ def count_table(n: int, kmax: int) -> CountTable:
     The two sweeps form a pipeline: the second takes term j of the first
     one's quotient at its step 2j, and the first reads that term at its
     step 2j + n.  When the additions that overlap, kmax * min(kmax, n),
-    reach PIPELINE_MIN_WORK and a second CPU is usable, the first sweep runs
-    in a forked child that streams its quotient to the second one here;
-    otherwise the same chain runs in this process.  The arguments are
+    reach PIPELINE_MIN_WORK, _in_child runs the first sweep in a forked
+    child that streams its quotient to the second one here; if it returns
+    None, the same chain runs in this process.  The arguments are
     checked before any fork, and a child that fails raises
     ChildProcessError.
     """
@@ -130,8 +130,8 @@ def count_table(n: int, kmax: int) -> CountTable:
         series = series_coeffs(series, den, kmax)
     else:
         first = sweep_height_poly(series, n + 2, kmax)
-        if kmax * min(kmax, n) >= PIPELINE_MIN_WORK and _second_cpu():
-            first = _in_child(first, "sweep", kmax + 1)
+        if kmax * min(kmax, n) >= PIPELINE_MIN_WORK:
+            first = _in_child(first, "sweep", kmax + 1) or first
         with closing(first):
             series = divide_by_height_poly(first, n + 2, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
@@ -147,8 +147,9 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iterator[int]:
-    """The items of `terms`, computed in a child process forked at once.
+def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iterator[int] | None:
+    """The items of `terms`, computed in a child process forked at once, or
+    None, with no child, when one CPU is usable or the pipe or fork fails.
 
     The child is running when this returns, so the caller can work
     alongside it before it reads the items.  The child iterates `terms`
@@ -160,24 +161,28 @@ def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iter
     and before its `count`-th item is yielded when `count` is given (the
     caller may stop reading there); otherwise ChildProcessError names
     `what` and the wait status.  Closing the iterator early kills and
-    reaps the child, so none is left behind.  If the fork fails, the
-    items come from this process.
+    reaps the child, so none is left behind.
     """
-    read_fd, write_fd = os.pipe()
+    if not _second_cpu():
+        return None
+    fds = ()
     try:
+        fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare: the same terms, from this one
-        os.close(read_fd)
-        os.close(write_fd)
-        return iter(terms)
+    except OSError:  # no descriptor or no process to spare
+        for fd in fds:
+            os.close(fd)
+        return None
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
-            for value in terms:
-                data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
-                _write(write_fd, len(data).to_bytes(4, "little") + data)
-            _write(write_fd, _END)
+            with open(write_fd, "wb") as pipe:
+                for value in terms:
+                    data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+                    pipe.write(len(data).to_bytes(4, "little") + data)
+                    pipe.flush()
+                pipe.write(_END)
             code = 0
         finally:
             os._exit(code)
@@ -185,11 +190,6 @@ def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iter
     items = _from_child(pid, read_fd, what, count)
     next(items)  # into its try, so that closing it kills and reaps the child
     return items
-
-
-def _write(fd: int, data: bytes) -> None:
-    while data:
-        data = data[os.write(fd, data):]
 
 
 def _from_child(pid: int, read_fd: int, what: str, count: int | None) -> Iterator[int]:

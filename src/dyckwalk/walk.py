@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .genfunc import _in_child, _second_cpu
+from .genfunc import _in_child
 from .heightpoly import check_step_probability, power_diff_ratio
 
 if TYPE_CHECKING:
@@ -189,23 +189,23 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     splitmix64 stream with initial state seed + (t+1) * key (mod 2**64),
     one draw per step, regardless of how trials are pooled, blocked or
     split between processes.  A run of more than one pool (_POOL trials)
-    splits its ids in two contiguous halves when a second CPU is usable:
-    a child forked first runs the upper half and writes its outcome to a
-    pipe while this process runs the lower half (if the fork fails, both
-    run here).  The two success histograms add exactly, and _estimate
-    works once from their sum, with the even-length defect check, so the
-    statistics are those of one process bit for bit.
+    splits its ids in halves: a child forked by _in_child runs the upper
+    one and pipes its outcome back while this process runs the lower
+    one; with one usable CPU, or a pipe or fork that fails, one _run
+    here takes every trial.  The two histograms add exactly, and
+    _estimate works once from their sum, with the even-length defect
+    check, so the statistics are those of one process bit for bit.
     """
-    if cfg.trials > _POOL and _second_cpu():
-        half = cfg.trials // 2
-        upper = _in_child(_outcome(cfg, half, cfg.trials), "walk")
+    half = cfg.trials // 2
+    upper = _in_child(_outcome(cfg, half, cfg.trials), "walk") if cfg.trials > _POOL else None
+    if upper is None:
+        successes, truncated = _run(cfg, 0, cfg.trials)
+    else:
         with closing(upper):
             successes, truncated = _run(cfg, 0, half)
             truncated += next(upper)
             for length, n_right in zip(upper, upper):
                 successes[length] += n_right
-    else:
-        successes, truncated = _run(cfg, 0, cfg.trials)
     return _estimate(cfg.trials, truncated, successes)
 
 

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -547,6 +549,29 @@ def test_a_failed_walk_child_is_a_defect(capsys, monkeypatch, forks, exit_code, 
     assert record["results"] == {"error": message}
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--n", "100", "--kmax", "2000"), ("walk", "--m", "3", "--p", "1/3", "--trials", "70000")],
+    ids=["table", "walk"],
+)
+def test_a_pipe_that_fails_gives_the_record_of_one_process(capsys, monkeypatch, forks, argv):
+    def no_descriptor_to_spare():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    def run(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        return code, re.sub(r'"elapsed_ms": [^,}]+', "", out), err
+
+    with monkeypatch.context() as shut:
+        shut.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_process = run(*argv)
+    monkeypatch.setattr(os, "pipe", no_descriptor_to_spare)
+    assert run(*argv) == one_process
+    assert one_process[0] == 0
+    assert forks == []
+
+
 def processes_with(marker: str) -> list[int]:
     """The processes whose environment holds `marker`, read from /proc."""
     found = []
@@ -643,6 +668,51 @@ def test_closed_stdout_pipe_exits_without_a_traceback(kmax):
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+# Runs the command line of its arguments on two CPUs, and prints the
+# threads of this process at each fork and the OPENBLAS_NUM_THREADS it has.
+THREADS_PROBE = """
+import os, sys
+from dyckwalk.cli import main
+fork = os.fork
+def reporting():
+    with open("/proc/self/status") as status:
+        threads = [line.split()[1] for line in status if line.startswith("Threads:")]
+    print(*threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+    return fork()
+os.fork, os.sched_getaffinity = reporting, lambda pid: {0, 1}
+sys.exit(main(sys.argv[1:]))
+"""
+SPLIT_WALK = ("walk", "--m", "3", "--p", "1/3", "--trials", "70000")
+
+
+def threads_at_fork(argv, **env) -> str:
+    """What THREADS_PROBE prints on stderr for `argv`, in `env`."""
+    child_env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE, *argv],
+        capture_output=True,
+        env=dict(child_env, **env),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    return proc.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.parametrize(
+    "argv, printed",
+    [(SPLIT_WALK, "1 1\n"), (("table", "--n", "100", "--kmax", "2000"), "1 None\n")],
+    ids=["walk", "table"],
+)
+def test_a_command_forks_from_one_thread(argv, printed):
+    assert threads_at_fork(argv) == printed
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_a_set_blas_thread_count_stands():
+    assert threads_at_fork(SPLIT_WALK, OPENBLAS_NUM_THREADS="2").split()[1:] == ["2"]
 
 
 # Whether each module is loaded once the command has run: the stdlib

@@ -1,5 +1,6 @@
 """Closed-form series extraction and the exact count table."""
 
+import errno
 import os
 import signal
 
@@ -247,26 +248,62 @@ def test_pipelined_sweeps_equal_the_sweeps_in_turn(forks, n, kmax):
     assert list(counts) == count_row_dp(n, kmax)
 
 
-@pytest.mark.parametrize("n, kmax", [(FIRST_SWEEP_N, 0), (100, 40), (1000, 2000)])
-def test_one_cpu_runs_the_same_chain_in_this_process(monkeypatch, n, kmax):
+def no_descriptor_to_spare():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+def no_pipe_on_one_cpu():
+    raise AssertionError("piped on one CPU")
+
+
+@pytest.mark.parametrize(
+    "n, kmax, cpus, pipe",
+    [
+        pytest.param(FIRST_SWEEP_N, 0, {0}, no_pipe_on_one_cpu, id="47-0"),
+        pytest.param(100, 40, {0}, no_pipe_on_one_cpu, id="100-40"),
+        pytest.param(1000, 2000, {0}, no_pipe_on_one_cpu, id="1000-2000"),
+        # two CPUs, but no descriptor for the pipe: run as on one CPU
+        pytest.param(1000, 2000, {0, 1}, no_descriptor_to_spare, id="1000-2000-no-pipe"),
+    ],
+)
+def test_one_cpu_runs_the_same_chain_in_this_process(monkeypatch, n, kmax, cpus, pipe):
     def no_fork():
         raise AssertionError("forked on one CPU")
 
     monkeypatch.setattr(genfunc, "PIPELINE_MIN_WORK", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
 
 
-@pytest.mark.parametrize("n, kmax", [(FIRST_SWEEP_N, 0), (100, 40)])
-def test_a_fork_that_fails_leaves_the_chain_in_this_process(forks, monkeypatch, n, kmax):
+@pytest.mark.parametrize(
+    "n, kmax, no_pipe",
+    [
+        pytest.param(FIRST_SWEEP_N, 0, False, id="47-0"),
+        pytest.param(100, 40, False, id="100-40"),
+        pytest.param(100, 40, True, id="100-40-no-pipe"),
+    ],
+)
+def test_a_fork_that_fails_leaves_the_chain_in_this_process(forks, monkeypatch, n, kmax, no_pipe):
     def fail():
         forks.append(1)
         raise BlockingIOError("no process to spare")
 
+    pipe, made = os.pipe, []
+
+    def recorded():
+        fds = pipe()
+        made.extend(fds)
+        return fds
+
     monkeypatch.setattr(os, "fork", fail)
+    monkeypatch.setattr(os, "pipe", no_descriptor_to_spare if no_pipe else recorded)
     assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
-    assert forks == [1]
+    assert forks == ([] if no_pipe else [1])
+    for fd in made:  # the pipe of a fork that failed is closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_rows_below_the_gate_do_not_fork(monkeypatch):

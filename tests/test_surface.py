@@ -128,4 +128,34 @@ def test_walk_imports_only_heightpoly_and_the_fork_helpers():
         for alias in node.names
     }
     assert {module for module, _ in imported} == {"heightpoly", "genfunc"}
-    assert {name for module, name in imported if module == "genfunc"} == {"_in_child", "_second_cpu"}
+    assert {name for module, name in imported if module == "genfunc"} == {"_in_child"}
+
+
+# What forks, pipes, reaps or kills a child, or decides whether one runs.
+FORK_POINTS = {"os.fork", "os.pipe", "os.waitpid", "os.kill", "_second_cpu"}
+
+
+def spellings(node: ast.AST):
+    """Each name and module.attribute that a statement writes or imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            yield f"{sub.value.id}.{sub.attr}"
+        elif isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.ImportFrom):  # from os import fork
+            for alias in sub.names:
+                yield from (alias.name, f"{sub.module}.{alias.name}")
+
+
+def test_only_the_fork_helpers_fork_or_decide_to():
+    # A third forking caller goes through _in_child, as count_table and
+    # walk.simulate do, and so gets its CPU test and every fallback.
+    found = {
+        ((path.stem, getattr(node, "name", None)), spelled)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        for spelled in spellings(node)
+        if spelled in FORK_POINTS
+    }
+    assert {owner for owner, _ in found} == {("genfunc", "_in_child"), ("genfunc", "_from_child")}
+    assert {spelled for _, spelled in found} == FORK_POINTS

@@ -1,5 +1,6 @@
 """Absorbing-walk module: exact rational routes and the simulator."""
 
+import errno
 import os
 import signal
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dyckwalk import walk
+from dyckwalk import genfunc, walk
 from dyckwalk.heightpoly import power_diff_ratio
 from dyckwalk.walk import (
     WalkConfig,
@@ -323,7 +324,7 @@ def test_memory_does_not_grow_with_trials(forks):
         return traced_peak(WalkConfig(m=3, p=Fraction(1, 3), trials=trials, seed=1))
 
     one_pool = peak(walk._POOL)
-    with mock.patch.object(walk, "_second_cpu", lambda: False):
+    with mock.patch.object(genfunc, "_second_cpu", lambda: False):
         assert peak(4 * walk._POOL) <= 1.25 * one_pool
     assert forks == []
     assert peak(8 * walk._POOL) <= 1.25 * one_pool
@@ -338,7 +339,7 @@ def test_footprint_is_a_few_pool_sized_arrays(forks):
     # The bound is on this process: all of the trials with the gate shut,
     # the lower half of them with it open.
     cfg = WalkConfig(m=3, p=Fraction(1, 3), trials=4 * walk._POOL, seed=1)
-    with mock.patch.object(walk, "_second_cpu", lambda: False):
+    with mock.patch.object(genfunc, "_second_cpu", lambda: False):
         assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
     assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
     assert forks == [1]
@@ -356,7 +357,7 @@ def test_footprint_is_a_few_pool_sized_arrays(forks):
 )
 def test_a_split_run_gives_estimate_what_one_process_gives(forks, cfg):
     with mock.patch.object(walk, "_estimate", wraps=walk._estimate) as estimate:
-        with mock.patch.object(walk, "_second_cpu", lambda: False):
+        with mock.patch.object(genfunc, "_second_cpu", lambda: False):
             whole = simulate(cfg)
         assert forks == []
         split = simulate(cfg)
@@ -411,18 +412,29 @@ def test_a_failed_walk_child_is_a_child_process_error(forks, monkeypatch, fault,
     assert forks == [1]
 
 
+# a call of each that fails as it would with no descriptor or process to spare
+FAILURES = {
+    "pipe": OSError(errno.EMFILE, "Too many open files"),
+    "fork": BlockingIOError(errno.EAGAIN, "no process to spare"),
+}
+
+
 @needs_fork
-def test_a_fork_that_fails_runs_the_walk_in_this_process(forks, monkeypatch):
+@pytest.mark.parametrize("call", FAILURES)
+def test_a_pipe_or_fork_that_fails_runs_the_walk_in_this_process(forks, monkeypatch, call):
     def fail():
-        forks.append(1)
-        raise BlockingIOError("no process to spare")
+        forks.append(call)
+        raise FAILURES[call]
 
     cfg = WalkConfig(m=8, p=Fraction(2, 5), trials=2 * walk._POOL + 1, seed=3)
-    with mock.patch.object(walk, "_second_cpu", lambda: False):
+    with mock.patch.object(genfunc, "_second_cpu", lambda: False):
         whole = simulate(cfg)
-    monkeypatch.setattr(os, "fork", fail)
-    assert bits(simulate(cfg)) == bits(whole)
-    assert forks == [1]
+    monkeypatch.setattr(os, call, fail)
+    with mock.patch.object(walk, "_run", wraps=walk._run) as run:
+        assert bits(simulate(cfg)) == bits(whole)
+    # one _run over every trial, and no child
+    assert run.call_args_list == [mock.call(cfg, 0, cfg.trials)]
+    assert forks == [call]
 
 
 @needs_fork
