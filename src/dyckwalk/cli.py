@@ -37,10 +37,9 @@ _EXIT_CODES = {"ok": 0, "mismatch": EXIT_MISMATCH, "error": EXIT_ERROR, "defect"
 
 # Input ceilings, checked before anything is built.  Each keeps the
 # largest accepted run under about 1 GB and a minute on 2 cores, as
-# measured at the ceiling: table --n 1997..2000 --kmax 4000 in 2.6-3.5 s
-# and 37 MiB, the larger of the process and the child that runs its first
-# sweep (the walk sweeps that divide by P_{n+2} grow with n, so the top
-# rows are the slowest tables; two runs each on a shared host),
+# measured at the ceiling: table --n 3999..4000 --kmax 4000 in 5.7-6.9 s
+# and 36-37 MiB, 20 MiB in its child (--n has no ceiling: a row runs at
+# min(n, kmax), and the sweeps grow with n up to there; two runs each),
 # hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 500000 --p 2/5
 # --trials 1 in 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max
 # 100 --k-max 4000 in 31-34 s and 28 MiB on a busy host (the DP and series
@@ -49,7 +48,6 @@ _EXIT_CODES = {"ok": 0, "mismatch": EXIT_MISMATCH, "error": EXIT_ERROR, "defect"
 # rationals (--m 150000 --p 511/1023 took 50 s, --m 200000 --p 999/1000
 # 74 s), and the work of the trials, which is their time (the simulator's
 # memory does not grow with them).
-MAX_TABLE_N = 2000
 MAX_TABLE_KMAX = 4000
 MAX_HPOLY_M = 40000
 MAX_WALK_M = 500_000
@@ -114,10 +112,10 @@ def _parse_p(text: str):
 
 
 def _cmd_table(args) -> tuple[str, dict, tuple]:
-    _check_ceiling("--n", args.n, MAX_TABLE_N)
     _check_ceiling("--kmax", args.kmax, MAX_TABLE_KMAX)
     counts = [str(c) for c in count_table(args.n, args.kmax).counts]
-    rows = (["n", "k", "count"], [[args.n, k, c] for k, c in enumerate(counts)])
+    n = str(args.n)  # once: n has no ceiling, and str() is quadratic in its digits
+    rows = (["n", "k", "count"], [[n, k, c] for k, c in enumerate(counts)])
     return "ok", {"counts": counts}, rows
 
 
@@ -232,11 +230,15 @@ def _check_walk_ceilings(args) -> None:
 def _cmd_walk(args) -> tuple[str, dict, tuple]:
     _check_walk_ceilings(args)
     # Before numpy loads: the walk makes no BLAS call, and OpenBLAS's worker
-    # thread burns CPU that a split run's child needs; a set value stands.
+    # thread burns CPU that a split run's child needs; a set value stands,
+    # and one set here goes again once OpenBLAS has read it, as it loads.
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Imported here, not at the top: only walk needs numpy, whose import
     # would otherwise be most of every other command's start-up.
     from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
+    if unset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
     p_mode = "decimal" if isinstance(args.p, float) else "exact"
     cfg = WalkConfig(

@@ -14,14 +14,9 @@ guarantees every c_k is divisible by 2k+1; the quotients are the counts.
 Divisibility is checked on every extraction, so a failure can only mean
 an implementation bug and raises DivisibilityError rather than rounding.
 
-The denominator is never expanded.  count_table divides the numerator
-by P_{n+2} twice and then by 1 - 4x, all of it series arithmetic mod
-x**(kmax+1).  A P_{n+2} whose coefficients fit one digit goes in
-through them by poly.series_coeffs; any other by the walk sweep of
-heightpoly, which adds where the coefficient division would multiply
-by coefficients of about 0.7 * n bits.  On a large row the two sweeps
-run as a pipeline, the first in a forked child process on the second
-CPU, streaming its quotient to the second sweep through a pipe.
+The denominator is never expanded: count_table divides by its factors
+in turn, and on a large row runs its two walk sweeps as a pipeline of
+two processes.
 """
 
 from __future__ import annotations
@@ -39,15 +34,15 @@ _DIGIT_BITS = sys.int_info.bits_per_digit
 # count_table runs its two sweeps as a pipeline of two processes when
 # the additions that overlap, kmax * min(kmax, n) (the second sweep's
 # steps up to 2 * kmax, which run while the first is still sweeping),
-# reach this.  A fork cost 3.5 ms in a `table` process ((47, 0): 3.9 ms
-# forked, 0.3 ms in one process) and more in `verify`, whose larger heap
-# the parent faults back in page by page after each fork.  Forking every
-# sweep row (medians of three runs, 2 cores): verify --n-max 100 --k-max
-# 1000, overlaps 47,000-100,000, went 3.6 -> 4.2 s, its 54 forks adding
-# 25,000 minor faults and 0.15 s of system time; --k-max 2000, overlaps
-# 94,000-200,000, went 11.3 -> 10.4 s.  In `table`, rows of
-# 50,000-160,000 came out between -16 and +8 ms (medians of 15 pairs,
-# in-process), and (100, 4000), at 400,000, gains about 0.1 s.
+# reach this.  A fork cost 3.5 ms in a `table` process and more in
+# `verify`, whose larger heap the parent faults back in page by page
+# after each fork.  Forking every sweep row (medians of three runs, 2
+# cores): verify --n-max 100 --k-max 1000, overlaps 47,000-100,000, went
+# 3.6 -> 4.2 s, its 54 forks adding 25,000 minor faults and 0.15 s of
+# system time; --k-max 2000, overlaps 94,000-200,000, went 11.3 -> 10.4 s.
+# In `table`, rows of 50,000-160,000 came out between -16 and +8 ms
+# (medians of 15 pairs, in-process), and (100, 4000), at 400,000, gains
+# about 0.1 s.
 PIPELINE_MIN_WORK = 120_000
 # The length that ends a child's stream: every int takes at least one byte.
 _END = bytes(4)
@@ -105,35 +100,38 @@ def counts_from_series(coeffs: list[int]) -> tuple[int, ...]:
 def count_table(n: int, kmax: int) -> CountTable:
     """Exact A(n, 0..kmax) extracted from the closed form.
 
-    The numerator is divided by the denominator's factors one at a time
-    rather than by their product: by P_{n+2} twice, then by 1 - 4x.
-    Every division is exact series arithmetic mod x**(kmax+1), so the
-    quotient is the same integer series as one division by
-    (1 - 4x) * P_{n+2}**2.  P_{n+2} goes in by its coefficients when
-    each fits one digit (n <= 46); otherwise by the walk sweep of
-    heightpoly, whose additions cost less than products with
-    coefficients of many digits: P_1002 has 8,501 30-bit digits of them.
+    No path of order k <= kmax rises above kmax, so a bound n > kmax
+    changes no count and no coefficient checked against 2k+1: the chain
+    runs at h = min(n, kmax).  The numerator is divided by the
+    denominator's factors one at a time rather than by their product: by
+    P_{h+2} twice, then by 1 - 4x.  Every division is exact series
+    arithmetic mod x**(kmax+1), so the quotient is the same integer
+    series as one division by (1 - 4x) * P_{h+2}**2.  P_{h+2} goes in by
+    its coefficients when each fits one digit (h <= 46); otherwise by the
+    walk sweep of heightpoly, whose additions cost less than products
+    with coefficients of many digits: P_1002 has 8,501 30-bit digits.
 
     The two sweeps form a pipeline: the second takes term j of the first
     one's quotient at its step 2j, and the first reads that term at its
-    step 2j + n.  When the additions that overlap, kmax * min(kmax, n),
-    reach PIPELINE_MIN_WORK, _in_child runs the first sweep in a forked
+    step 2j + h.  When the additions that overlap, kmax * h, reach
+    PIPELINE_MIN_WORK, _in_child runs the first sweep in a forked
     child that streams its quotient to the second one here; if it returns
     None, the same chain runs in this process.  The arguments are
-    checked before any fork, and a child that fails raises
-    ChildProcessError.
+    checked before any fork (series_coeffs names a negative kmax), and a
+    child that fails raises ChildProcessError.
     """
-    series = series_numerator(n)
-    den = height_poly(n + 2)
+    h = min(n, max(kmax, 0))
+    series = series_numerator(h)
+    den = height_poly(h + 2)
     if max(map(abs, den)).bit_length() <= _DIGIT_BITS:
         series = series_coeffs(series, den, kmax)
         series = series_coeffs(series, den, kmax)
     else:
-        first = sweep_height_poly(series, n + 2, kmax)
-        if kmax * min(kmax, n) >= PIPELINE_MIN_WORK:
+        first = sweep_height_poly(series, h + 2, kmax)
+        if kmax * h >= PIPELINE_MIN_WORK:
             first = _in_child(first, "sweep", kmax + 1) or first
         with closing(first):
-            series = divide_by_height_poly(first, n + 2, kmax)
+            series = divide_by_height_poly(first, h + 2, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
     return CountTable(n=n, kmax=kmax, counts=counts_from_series(series))
 

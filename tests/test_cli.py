@@ -24,7 +24,6 @@ from dyckwalk.cli import (
     EXIT_DEFECT,
     MAX_HPOLY_M,
     MAX_TABLE_KMAX,
-    MAX_TABLE_N,
     MAX_VERIFY_K,
     MAX_VERIFY_N,
     MAX_WALK_EXACT_BITS,
@@ -333,8 +332,9 @@ DOMAIN_ERRORS = {
         {"m": 1, "p": "1/3", "trials": 10, **WALK_DEFAULTS},
     ("walk", "--m", "3", "--p", "3/2", "--trials", "10"):
         {"m": 3, "p": "3/2", "trials": 10, **WALK_DEFAULTS},
+    # --n has no ceiling, and a huge one is refused at once for its kmax
+    ("table", "--n", PAST_FLOATS, "--kmax", "-1"): {"n": 10 ** 400, "kmax": -1},
     # input ceilings, refused before anything is allocated
-    ("table", "--n", str(MAX_TABLE_N + 1), "--kmax", "5"): {"n": MAX_TABLE_N + 1, "kmax": 5},
     ("table", "--n", "3", "--kmax", str(10 ** 9)): {"n": 3, "kmax": 10 ** 9},
     ("hpoly", "--m", str(MAX_HPOLY_M + 1)): {"m": MAX_HPOLY_M + 1},
     ("walk", "--m", "3", "--p", "1/3", "--trials", str(10 ** 9)):
@@ -375,7 +375,6 @@ def test_domain_errors_exit_with_two(capsys, argv):
 
 def test_ceilings_admit_the_largest_documented_inputs():
     assert MAX_TABLE_KMAX >= 4000
-    assert MAX_TABLE_N >= 1000
     assert MAX_HPOLY_M >= 20000
     assert MAX_WALK_M >= 2000
     assert MAX_VERIFY_N >= 100
@@ -510,13 +509,13 @@ def test_a_failed_sweep_child_is_a_defect(capsys, monkeypatch, forks):
             yield term
 
     monkeypatch.setattr(genfunc, "sweep_height_poly", faulty)
-    code, record, err = run_json(capsys, "table", "--n", "100", "--kmax", "40")
+    code, record, err = run_json(capsys, "table", "--n", "100", "--kmax", "60")
     assert forks == [1]
     assert code == EXIT_DEFECT == 3
     message = "ChildProcessError: the sweep's child process ended with wait status 256"
     assert err.startswith(f"defect: {message}")
     assert record["status"] == "defect"
-    assert record["parameters"] == {"n": 100, "kmax": 40}
+    assert record["parameters"] == {"n": 100, "kmax": 60}
     assert record["results"]["error"].startswith(message)
 
 
@@ -703,7 +702,8 @@ def threads_at_fork(argv, **env) -> str:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
 @pytest.mark.parametrize(
     "argv, printed",
-    [(SPLIT_WALK, "1 1\n"), (("table", "--n", "100", "--kmax", "2000"), "1 None\n")],
+    # walk sets the variable for numpy's import and unsets it again before the fork
+    [(SPLIT_WALK, "1 None\n"), (("table", "--n", "100", "--kmax", "2000"), "1 None\n")],
     ids=["walk", "table"],
 )
 def test_a_command_forks_from_one_thread(argv, printed):
@@ -713,6 +713,18 @@ def test_a_command_forks_from_one_thread(argv, printed):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
 def test_a_set_blas_thread_count_stands():
     assert threads_at_fork(SPLIT_WALK, OPENBLAS_NUM_THREADS="2").split()[1:] == ["2"]
+
+
+@pytest.mark.parametrize("value", [None, "2"], ids=["unset", "set"])
+def test_walk_leaves_the_environment_as_it_found_it(capsys, monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+    before = dict(os.environ)
+    code, _, _ = run_cli(capsys, "walk", "--m", "3", "--p", "1/3", "--trials", "10")
+    assert code == 0
+    assert dict(os.environ) == before
 
 
 # Whether each module is loaded once the command has run: the stdlib
@@ -851,6 +863,29 @@ def test_counts_past_the_int_str_limit_are_printed(capsys, monkeypatch, default_
     assert [row["count"] for row in csv.DictReader(io.StringIO(out))] == ["1", str(big)]
 
 
+# An n of 100,008 digits, whose str() takes about 0.2 s: formatted again in
+# each of the 201 rows, it would hold the CSV for about 40 s.
+HUGE_N = "123456789" * 11112
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_huge_n_is_echoed_and_counted_at_kmax(fmt):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyckwalk", "table", "--n", HUGE_N, "--kmax", "200", "--format", fmt],
+        capture_output=True, text=True, env=_child_env(), timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = [str(oracle.catalan(k)) for k in range(201)]
+    if fmt == "json":
+        record = json.loads(proc.stdout, parse_int=str)  # n is past the int -> str limit
+        assert record["status"] == "ok"
+        assert record["parameters"] == {"n": HUGE_N, "kmax": "200"}
+        assert record["results"] == {"counts": counts}
+    else:
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert rows == [["n", "k", "count"]] + [[HUGE_N, str(k), c] for k, c in enumerate(counts)]
+
+
 # The CLI contract over typed inputs: any argv the parser accepts ends in
 # exactly one record, whose status names the exit code and whose parameters
 # echo the flags.  Inputs are drawn to finish or be refused in milliseconds,
@@ -874,8 +909,10 @@ def accepted_large(value: int, ceiling: int) -> bool:
 
 @st.composite
 def table_flags(draw):
-    n, kmax = draw(flag_values(MAX_TABLE_N)), draw(flag_values(MAX_TABLE_KMAX))
-    assume(not (accepted_large(n, MAX_TABLE_N) and accepted_large(kmax, MAX_TABLE_KMAX)))
+    # --n has no ceiling: a huge n is accepted and works at kmax
+    n = draw(st.one_of(st.integers(0, SMALL_MAX), st.sampled_from([-1, *HUGE, *(-v for v in HUGE)])))
+    kmax = draw(flag_values(MAX_TABLE_KMAX))
+    assume(not (n > SMALL_MAX and accepted_large(kmax, MAX_TABLE_KMAX)))
     return "table", {"n": n, "kmax": kmax}, {}
 
 

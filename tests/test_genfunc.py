@@ -181,6 +181,26 @@ def test_divisor_factor_division_equals_one_division_by_the_product(n, extra):
     assert divisor_factor_counts(n, kmax) == counts_from_series(single)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=120), st.integers(min_value=0, max_value=10 ** 400))
+@example(kmax=0, extra=0)
+@example(kmax=FIRST_SWEEP_N - 1, extra=1)
+@example(kmax=FIRST_SWEEP_N, extra=10 ** 400 - FIRST_SWEEP_N)
+def test_a_bound_at_or_above_kmax_does_not_bind(kmax, extra):
+    # no path of order k <= kmax rises above kmax, so every count is a
+    # Catalan number, and no P_i past the numerator's at n = kmax is built
+    def built(m):
+        assert m <= 2 * kmax + 3, f"built P_{m} for kmax {kmax}"
+        return height_poly(m)
+
+    n = kmax + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genfunc, "height_poly", built)
+        table = count_table(n, kmax)
+    assert table == CountTable(n, kmax, count_table(kmax, kmax).counts)
+    assert table.counts == tuple(catalan(k) for k in range(kmax + 1))
+
+
 class Swept(Exception):
     pass
 
@@ -193,22 +213,24 @@ class Whole(Exception):
     "n, kmax, sweeps",
     [(1000, 2000, True), (100, 4000, True), (998, 500, True)]
     + [(n, kmax, False) for n in range(0, 41) for kmax in (300, 2000)]
-    # deg P_{n+2} past kmax does not matter, on either side of n = 47
+    # n above kmax divides at kmax, on either side of kmax = 47
     + [(2000, 300, True), (2000, 999, True), (1000, 100, True), (200, 50, True)]
+    + [(2000, FIRST_SWEEP_N, True), (2000, FIRST_SWEEP_N - 1, False)]
     + [(FIRST_SWEEP_N - 1, 3, False), (10, 2, False)]
     + [
         (0, 5, False),
         (FIRST_SWEEP_N - 1, 2000, False),  # every coefficient fits one digit
         (FIRST_SWEEP_N, 2000, True),
-        (FIRST_SWEEP_N, 23, True),  # kmax just under deg P_49 = 24
-        (FIRST_SWEEP_N, 24, True),
+        (FIRST_SWEEP_N, 23, False),  # the bound of 47 does not bind at k <= 23
+        (FIRST_SWEEP_N, 24, False),
         (2000, 1000, True),
     ],
 )
 def test_division_groups_shape(n, kmax, sweeps, monkeypatch):
-    # count_table divides by P_{n+2} through its coefficients when every
-    # one fits one digit (n < FIRST_SWEEP_N), and by the walk sweep
-    # otherwise, whatever kmax is; the first division tells the route
+    # count_table works at h = min(n, kmax), and divides by P_{h+2}
+    # through its coefficients when every one fits one digit
+    # (h < FIRST_SWEEP_N), and by the walk sweep otherwise; the first
+    # division tells the route
     def sweep(series, m, kmax):
         raise Swept
 
@@ -234,10 +256,14 @@ def swept_twice_counts(n: int, kmax: int) -> tuple[int, ...]:
 @needs_fork
 # the fixture's patches hold for every example, and its count is cleared
 @settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.integers(min_value=FIRST_SWEEP_N, max_value=400), st.integers(min_value=0, max_value=400))
-@example(n=FIRST_SWEEP_N, kmax=0)
-@example(n=400, kmax=0)
-@example(n=399, kmax=150)  # kmax < n/2: deg P_{n+2} = 200 passes kmax
+# min(n, kmax) >= FIRST_SWEEP_N: the row divides by the walk sweep
+@given(
+    st.integers(min_value=FIRST_SWEEP_N, max_value=400),
+    st.integers(min_value=FIRST_SWEEP_N, max_value=400),
+)
+@example(n=FIRST_SWEEP_N, kmax=FIRST_SWEEP_N)
+@example(n=400, kmax=FIRST_SWEEP_N)
+@example(n=399, kmax=150)  # n > kmax: the sweeps run at kmax
 @example(n=300, kmax=300)  # n >= kmax: every count is a Catalan number
 @example(n=60, kmax=400)
 def test_pipelined_sweeps_equal_the_sweeps_in_turn(forks, n, kmax):
@@ -259,8 +285,8 @@ def no_pipe_on_one_cpu():
 @pytest.mark.parametrize(
     "n, kmax, cpus, pipe",
     [
-        pytest.param(FIRST_SWEEP_N, 0, {0}, no_pipe_on_one_cpu, id="47-0"),
-        pytest.param(100, 40, {0}, no_pipe_on_one_cpu, id="100-40"),
+        pytest.param(FIRST_SWEEP_N, FIRST_SWEEP_N, {0}, no_pipe_on_one_cpu, id="47-47"),
+        pytest.param(100, 60, {0}, no_pipe_on_one_cpu, id="100-60"),
         pytest.param(1000, 2000, {0}, no_pipe_on_one_cpu, id="1000-2000"),
         # two CPUs, but no descriptor for the pipe: run as on one CPU
         pytest.param(1000, 2000, {0, 1}, no_descriptor_to_spare, id="1000-2000-no-pipe"),
@@ -280,9 +306,9 @@ def test_one_cpu_runs_the_same_chain_in_this_process(monkeypatch, n, kmax, cpus,
 @pytest.mark.parametrize(
     "n, kmax, no_pipe",
     [
-        pytest.param(FIRST_SWEEP_N, 0, False, id="47-0"),
-        pytest.param(100, 40, False, id="100-40"),
-        pytest.param(100, 40, True, id="100-40-no-pipe"),
+        pytest.param(FIRST_SWEEP_N, FIRST_SWEEP_N, False, id="47-47"),
+        pytest.param(100, 60, False, id="100-60"),
+        pytest.param(100, 60, True, id="100-60-no-pipe"),
     ],
 )
 def test_a_fork_that_fails_leaves_the_chain_in_this_process(forks, monkeypatch, n, kmax, no_pipe):
@@ -311,8 +337,10 @@ def test_rows_below_the_gate_do_not_fork(monkeypatch):
         raise AssertionError("forked below the gate")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    # verify --n-max 100 --k-max 1000's rows stay in this process
-    for n, kmax in [(FIRST_SWEEP_N, 0), (100, 30), (100, 1000), (2000, 100)]:
+    # verify --n-max 100 --k-max 1000's rows stay in this process, and so
+    # do sweep rows with n above a small kmax
+    for n, kmax in [(FIRST_SWEEP_N, FIRST_SWEEP_N), (100, 50), (100, 1000), (2000, 100)]:
+        assert FIRST_SWEEP_N <= min(n, kmax)
         assert kmax * min(kmax, n) < genfunc.PIPELINE_MIN_WORK
         assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
 
@@ -356,7 +384,7 @@ def die_in_child():
 def test_a_failed_child_is_a_child_process_error(forks, monkeypatch, fault, status, at):
     monkeypatch.setattr(genfunc, "sweep_height_poly", faulty_sweep(fault, at))
     with pytest.raises(ChildProcessError, match=f"wait status {status}\\b"):
-        count_table(100, 40)
+        count_table(100, 60)
     assert forks == [1]
 
 
@@ -367,8 +395,8 @@ def test_a_child_that_writes_other_than_kmax_plus_one_terms_is_an_error(forks, m
         return iter(range(kmax + 1 + extra))
 
     monkeypatch.setattr(genfunc, "sweep_height_poly", sweep)
-    with pytest.raises(ChildProcessError, match="wait status 0 after writing other than 41 terms"):
-        count_table(100, 40)
+    with pytest.raises(ChildProcessError, match="wait status 0 after writing other than 61 terms"):
+        count_table(100, 60)
     assert forks == [1]
 
 

@@ -222,15 +222,15 @@ def test_counting_routes_agree_cell_by_cell(n, kmax):
 
 @st.composite
 def swept_cells(draw):
-    # n >= 47: count_table divides by the walk sweep, whatever kmax is
+    # min(n, kmax) >= 47: count_table divides by the walk sweep
     n = draw(st.integers(min_value=47, max_value=800))
-    return n, draw(st.integers(min_value=0, max_value=400))
+    return n, draw(st.integers(min_value=47, max_value=400))
 
 
 @settings(max_examples=10, deadline=None)
 @given(swept_cells())
 @example((795, 400))  # n + 2 = 797 is prime
-@example((799, 399))  # kmax just under deg P_801 = 400
+@example((799, 399))  # n above kmax: the sweep divides by P_401
 def test_sweep_route_agrees_with_the_dp_and_the_convergent(cell):
     n, kmax = cell
     series = list(count_table(n, kmax).counts)

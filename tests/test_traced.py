@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "argv",
     [
         ["table", "--n", "10", "--kmax", "50"],  # through P_12's coefficients
-        ["table", "--n", "60", "--kmax", "40"],  # by the walk sweep
+        ["table", "--n", "60", "--kmax", "50"],  # by the walk sweep
         ["verify", "--n-max", "2", "--k-max", "5"],
     ],
     ids=["table-coefficients", "table-sweep", "verify"],
