@@ -12,6 +12,8 @@ strings because they outgrow 53-bit floats quickly.  Exit codes:
 0 ok, 1 verification mismatch, 2 usage or domain error (including an
 input above its ceiling), 3 defect (a check that only a bug can fail),
 141 (128 + SIGPIPE) when stdout is closed before the output is written.
+A process ends by `run`: once the record is flushed it calls os._exit and
+skips the interpreter's teardown; `main` itself returns the code.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import math
 import os
 import sys
 import time
+from contextlib import suppress
+from typing import NoReturn
 
 from .genfunc import DivisibilityError, count_table
 from .heightpoly import height_poly
@@ -345,6 +349,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def run() -> NoReturn:
+    """The dyckwalk process: main, then os._exit without the interpreter's
+    teardown (every child is reaped, no other file is open for writing).
+    A SystemExit or an exception out of main leaves the normal way."""
+    code = main()
+    sys.stdout.flush()
+    if sys.stderr is not None:  # None when fd 2 was closed at start
+        with suppress(OSError):  # stderr carries diagnostics only
+            sys.stderr.flush()
+    os._exit(code)
+
+
 def _parameters(args) -> dict:
     """The echo of the command's flags that every record of it carries."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
@@ -375,7 +391,9 @@ def _run(args) -> int:
         message = None
     elapsed = 1000.0 * (time.perf_counter() - start)
     if message is not None:
-        print(f"{status}: {message}", file=sys.stderr)
+        if sys.stderr is not None:  # None if fd 2 was closed at start: print would use stdout
+            with suppress(OSError):  # a diagnostic: a closed stderr must not lose the record
+                print(f"{status}: {message}", file=sys.stderr)
         results, rows = {"error": message}, (["error"], [[message]])
     record = {
         "command": args.command,

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import ast
 import csv
 import errno
 import io
@@ -38,6 +39,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def without_elapsed(out: str) -> str:
+    """Output with the record's one field that differs from run to run cut."""
+    return re.sub(r'"elapsed_ms": [^,}]+', "", out)
 
 
 def run_json(capsys, *argv):
@@ -560,7 +566,7 @@ def test_a_pipe_that_fails_gives_the_record_of_one_process(capsys, monkeypatch, 
 
     def run(*argv):
         code, out, err = run_cli(capsys, *argv)
-        return code, re.sub(r'"elapsed_ms": [^,}]+', "", out), err
+        return code, without_elapsed(out), err
 
     with monkeypatch.context() as shut:
         shut.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -667,6 +673,149 @@ def test_closed_stdout_pipe_exits_without_a_traceback(kmax):
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+# Stand-ins for cli's routes, by the name each replaces: a wrong DP cell
+# gives a mismatch, a failed 2k+1 check a defect.
+ROUTE_FAULTS = """
+from dyckwalk import oracle
+from dyckwalk.genfunc import DivisibilityError
+
+def count_row_dp(n, kmax):
+    row = oracle.count_row_dp(n, kmax)
+    row[-1] += n == 1
+    return row
+
+def count_table(n, kmax):
+    raise DivisibilityError("coefficient 7 at k=1 is not divisible by 3")
+"""
+# Runs `python -m dyckwalk` on the command line after its first two
+# arguments: the route to replace from ROUTE_FAULTS ("" for none), and
+# "closed" to close fd 2 first ("closed-at-start" when it was closed
+# before the interpreter started, so sys.stderr is None).  An atexit
+# handler writes "teardown" to stderr if the interpreter's normal exit runs.
+ENTRY_PROBE = ROUTE_FAULTS + """
+import atexit, os, runpy, sys
+from dyckwalk import cli
+atexit.register(os.write, 2, b"teardown\\n")
+route, fd2, *sys.argv[1:] = sys.argv[1:]
+assert (sys.stderr is None) == (fd2 == "closed-at-start")
+if route:
+    setattr(cli, route, globals()[route])
+if fd2 == "closed":
+    os.close(2)
+runpy.run_module("dyckwalk", run_name="__main__")
+"""
+
+
+def entry_process(route: str, argv, fd2="open", stderr=subprocess.PIPE):
+    command = [sys.executable, "-c", ENTRY_PROBE, route, fd2, *argv]
+    if fd2 == "closed-at-start":  # as a shell's `2>&-` starts it
+        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    return subprocess.run(
+        command,
+        stdout=subprocess.PIPE,
+        stderr=stderr,
+        env=_child_env(),
+        timeout=60,
+    )
+
+
+def entry_in_process(capsys, monkeypatch, route: str, argv) -> tuple[int, str, str]:
+    """What entry_process gives for the same command run by main in this
+    process, with elapsed_ms dropped from the record."""
+    if route:
+        faults = {}
+        exec(ROUTE_FAULTS, faults)
+        monkeypatch.setattr(cli, route, faults[route])
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, without_elapsed(captured.out), captured.err
+
+
+ERROR_ARGV = ("table", "--n", "1", "--kmax", "99999")
+DEFECT_ARGV = ("table", "--n", "2", "--kmax", "4")
+
+
+@pytest.mark.parametrize(
+    "route, argv, code, teardown",
+    [
+        ("", ("table", "--n", "2", "--kmax", "6"), 0, False),
+        ("", ("hpoly", "--m", "5", "--format", "csv"), 0, False),
+        ("", ("walk", "--m", "3", "--p", "1/3", "--trials", "100"), 0, False),
+        ("", ERROR_ARGV, 2, False),
+        ("count_row_dp", ("verify", "--n-max", "2", "--k-max", "4"), 1, False),
+        ("count_table", DEFECT_ARGV, 3, False),
+        ("count_table", (*DEFECT_ARGV, "--format", "csv"), 3, False),
+        # argparse's SystemExit leaves through the interpreter's own exit
+        ("", ("table", "--n", "2"), 2, True),
+    ],
+    ids=["ok", "ok-csv", "ok-walk", "error", "mismatch", "defect", "defect-csv", "usage"],
+)
+def test_every_exit_through_the_entry_point(capsys, monkeypatch, route, argv, code, teardown):
+    proc = entry_process(route, argv)
+    expected = entry_in_process(capsys, monkeypatch, route, argv)
+    assert expected[0] == code
+    assert (proc.returncode, without_elapsed(proc.stdout.decode()), proc.stderr.decode()) == (
+        code, expected[1], expected[2] + "teardown\n" * teardown
+    )
+
+
+@pytest.mark.parametrize("stderr", ["pipe", "closed", "closed-at-start"])
+@pytest.mark.parametrize(
+    "route, argv, code",
+    [
+        ("", ("table", "--n", "2", "--kmax", "6"), 0),
+        ("", ERROR_ARGV, 2),
+        ("count_table", DEFECT_ARGV, 3),
+        ("count_table", (*DEFECT_ARGV, "--format", "csv"), 3),
+    ],
+    ids=["ok", "error", "defect", "defect-csv"],
+)
+def test_a_closed_stderr_loses_only_the_status_line(capsys, monkeypatch, stderr, route, argv, code):
+    if stderr != "pipe":
+        proc = entry_process(route, argv, fd2=stderr)
+    else:  # a pipe whose reader has gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = entry_process(route, argv, stderr=write_end)
+        finally:
+            os.close(write_end)
+    expected = entry_in_process(capsys, monkeypatch, route, argv)
+    assert (proc.returncode, without_elapsed(proc.stdout.decode())) == (code, expected[1])
+
+
+def test_a_large_record_read_through_a_pipe_is_whole(capsys):
+    argv = ("table", "--n", "10", "--kmax", "2000")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyckwalk", *argv], capture_output=True, env=_child_env(), timeout=60
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert len(proc.stdout) > 10 ** 6
+    assert (proc.returncode, without_elapsed(proc.stdout.decode()), proc.stderr.decode()) == (
+        code, without_elapsed(out), err
+    )
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    package = Path(dyckwalk.__file__).resolve().parent
+    tree = ast.parse((package / "__main__.py").read_text())
+    (call,) = [node.value for node in tree.body if isinstance(node, ast.Expr)]
+    called = {
+        (f"dyckwalk.{node.module}", alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (alias.asname or alias.name) == call.func.id
+    }
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    script = re.search(r'^dyckwalk = "([\w.]+):(\w+)"$', pyproject, flags=re.M).groups()
+    assert called == {script}
+    assert call.args == call.keywords == []
 
 
 # Runs the command line of its arguments on two CPUs, and prints the

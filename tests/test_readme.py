@@ -3,6 +3,7 @@ the code returns, each package name it cites exists, and it names every
 ceiling of the CLI."""
 
 import importlib
+import itertools
 import json
 import re
 import shlex
@@ -75,3 +76,15 @@ def test_every_ceiling_is_named():
     assert [name for name in ceilings if f"`{name}`" not in text] == []
     assert [name for name in re.findall(r"`(MAX_\w+)`", text) if not hasattr(cli, name)] == []
     assert ceilings
+
+
+def test_exit_code_table_is_the_clis():
+    # the rows under "Exit codes:", code and status, against cli's own
+    after = README.read_text().split("\nExit codes:\n", 1)[1].lstrip("\n")
+    lines = itertools.takewhile(lambda line: line.startswith("|"), after.splitlines())
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in lines]
+    assert rows[0][:2] == ["code", "status"]
+    documented = {int(code): status for code, status, _ in rows[2:]}
+    assert documented == {code: status for status, code in cli._EXIT_CODES.items()} | {
+        cli.EXIT_BROKEN_PIPE: "none"
+    }

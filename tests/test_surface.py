@@ -2,9 +2,10 @@
 
 A top-level name of a dyckwalk module, public or private, must be
 reached, through the names the package's own code refers to, from one of
-three roots: the command line (the console script cli.main, and
-python -m dyckwalk), the public names of dyckwalk.__all__, or a span of
-perfbench/traced.py's TRACED table, which wraps functions by name.
+three roots: the command line (cli.run, the console script, which
+python -m dyckwalk calls too), the public names of dyckwalk.__all__, or
+a span of perfbench/traced.py's TRACED table, which wraps functions by
+name.
 Helpers that only the tests call live in tests/references.py.  The
 modules are read with ast, not imported, and so is traced.py.
 """
@@ -17,7 +18,7 @@ import dyckwalk
 PACKAGE = Path(dyckwalk.__file__).resolve().parent
 TRACED_PY = PACKAGE.parents[1] / "perfbench" / "traced.py"
 # The dyckwalk console script.
-COMMAND = ("cli", "main")
+COMMAND = ("cli", "run")
 
 Ref = tuple[str, str]  # (module, top-level name)
 
@@ -147,15 +148,43 @@ def spellings(node: ast.AST):
                 yield from (alias.name, f"{sub.module}.{alias.name}")
 
 
-def test_only_the_fork_helpers_fork_or_decide_to():
-    # A third forking caller goes through _in_child, as count_table and
-    # walk.simulate do, and so gets its CPU test and every fallback.
-    found = {
+def spelled_at(points: set[str]) -> set[tuple[Ref, str]]:
+    """(the top-level statement's ref, the spelling) for each of `points`
+    that a module of the package writes or imports."""
+    return {
         ((path.stem, getattr(node, "name", None)), spelled)
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.parse(path.read_text()).body
         for spelled in spellings(node)
-        if spelled in FORK_POINTS
+        if spelled in points
     }
+
+
+def test_only_the_fork_helpers_fork_or_decide_to():
+    # A third forking caller goes through _in_child, as count_table and
+    # walk.simulate do, and so gets its CPU test and every fallback.
+    found = spelled_at(FORK_POINTS)
     assert {owner for owner, _ in found} == {("genfunc", "_in_child"), ("genfunc", "_from_child")}
     assert {spelled for _, spelled in found} == FORK_POINTS
+
+
+def test_only_the_command_and_a_forked_child_end_the_process():
+    # os._exit skips the interpreter's teardown.  The command's process
+    # ends by it once main has returned, and _in_child's child so as not
+    # to return into its parent's stack; anywhere else it would end the
+    # process of a library caller, a test or traced.py.
+    assert {owner for owner, _ in spelled_at({"os._exit"})} == {COMMAND, ("genfunc", "_in_child")}
+    (in_child,) = [
+        node
+        for node in ast.parse((PACKAGE / "genfunc.py").read_text()).body
+        if getattr(node, "name", None) == "_in_child"
+    ]
+    child_branches = [
+        node.body
+        for node in ast.walk(in_child)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "pid == 0"
+    ]
+    exits = [s for s in spellings(in_child) if s == "os._exit"]
+    in_branches = [s for body in child_branches for stmt in body for s in spellings(stmt)
+                   if s == "os._exit"]
+    assert exits and exits == in_branches
