@@ -11,9 +11,9 @@ stdout; diagnostics go to stderr.  Counts are serialized as decimal
 strings because they outgrow 53-bit floats quickly.  Exit codes:
 0 ok, 1 verification mismatch, 2 usage or domain error (including an
 input above its ceiling), 3 defect (a check that only a bug can fail),
-141 (128 + SIGPIPE) when stdout is closed before the output is written.
-A process ends by `run`: once the record is flushed it calls os._exit and
-skips the interpreter's teardown; `main` itself returns the code.
+141 (128 + SIGPIPE) when stdout is closed, before the record is written
+or at start.  `run` is the process and owns its streams and environment;
+`main` returns the code and leaves both alone.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ def _emit(record: dict, rows: tuple[list[str], list[list]], fmt: str) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(data)
-    sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
 def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
@@ -233,16 +232,9 @@ def _check_walk_ceilings(args) -> None:
 
 def _cmd_walk(args) -> tuple[str, dict, tuple]:
     _check_walk_ceilings(args)
-    # Before numpy loads: the walk makes no BLAS call, and OpenBLAS's worker
-    # thread burns CPU that a split run's child needs; a set value stands,
-    # and one set here goes again once OpenBLAS has read it, as it loads.
-    unset = "OPENBLAS_NUM_THREADS" not in os.environ
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Imported here, not at the top: only walk needs numpy, whose import
     # would otherwise be most of every other command's start-up.
     from .walk import WalkConfig, conditional_hit_time, hit_probability, simulate
-    if unset:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
     p_mode = "decimal" if isinstance(args.p, float) else "exact"
     cfg = WalkConfig(
@@ -337,27 +329,27 @@ def main(argv: list[str] | None = None) -> int:
     # Counts outgrow the interpreter's 4300-digit limit on int -> str.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
-    try:
-        return _run(args)
-    except BrokenPipeError:
-        # The reader went away (say, `| head`).  Point stdout at /dev/null
-        # so the interpreter's final flush cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+    return _run(_build_parser().parse_args(argv))
 
 
 def run() -> NoReturn:
-    """The dyckwalk process: main, then os._exit without the interpreter's
-    teardown (every child is reaped, no other file is open for writing).
-    A SystemExit or an exception out of main leaves the normal way."""
-    code = main()
-    sys.stdout.flush()
-    if sys.stderr is not None:  # None when fd 2 was closed at start
-        with suppress(OSError):  # stderr carries diagnostics only
-            sys.stderr.flush()
+    """The dyckwalk process, the one owner of its streams and environment.
+    A stdout closed at start or by the reader gives 141, a stderr closed at
+    start becomes /dev/null, and once the record is flushed os._exit skips
+    the interpreter's teardown (every child is reaped, no other file holds
+    output).  A SystemExit or an exception out of main leaves the normal way."""
+    if sys.stdout is None:
+        os._exit(EXIT_BROKEN_PIPE)
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
+    # Read as numpy loads: the walk makes no BLAS call, and OpenBLAS's
+    # worker thread burns CPU that a split run's child needs.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, say `| head`
+        code = EXIT_BROKEN_PIPE
     os._exit(code)
 
 

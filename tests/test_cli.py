@@ -737,6 +737,7 @@ def entry_in_process(capsys, monkeypatch, route: str, argv) -> tuple[int, str, s
 
 
 ERROR_ARGV = ("table", "--n", "1", "--kmax", "99999")
+SPLIT_WALK = ("walk", "--m", "3", "--p", "1/3", "--trials", "70000")
 DEFECT_ARGV = ("table", "--n", "2", "--kmax", "4")
 
 
@@ -772,8 +773,10 @@ def test_every_exit_through_the_entry_point(capsys, monkeypatch, route, argv, co
         ("", ERROR_ARGV, 2),
         ("count_table", DEFECT_ARGV, 3),
         ("count_table", (*DEFECT_ARGV, "--format", "csv"), 3),
+        # with sys.stderr None, argparse's usage text would go to stdout
+        ("", ("table", "--n", "2"), 2),
     ],
-    ids=["ok", "error", "defect", "defect-csv"],
+    ids=["ok", "error", "defect", "defect-csv", "usage"],
 )
 def test_a_closed_stderr_loses_only_the_status_line(capsys, monkeypatch, stderr, route, argv, code):
     if stderr != "pipe":
@@ -787,6 +790,55 @@ def test_a_closed_stderr_loses_only_the_status_line(capsys, monkeypatch, stderr,
             os.close(write_end)
     expected = entry_in_process(capsys, monkeypatch, route, argv)
     assert (proc.returncode, without_elapsed(proc.stdout.decode())) == (code, expected[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--n", "2", "--kmax", "6"), ERROR_ARGV, ("table", "--n", "2"), SPLIT_WALK],
+    ids=["ok", "error", "usage", "split-walk"],
+)
+def test_a_stdout_closed_at_start_exits_141(argv):
+    # as a shell's `>&-` starts it: sys.stdout is None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dyckwalk", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
+# Calls main with a stdout whose every write fails as a closed pipe's, and
+# prints what main gave and whether fd 1 is still the file it was.
+BROKEN_STDOUT_CALL = """
+import errno, io, os, sys
+from dyckwalk.cli import main
+class Broken(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+    def fileno(self):
+        return 1
+before = os.fstat(1)
+sys.stdout = Broken()
+try:
+    given = main(["table", "--n", "2", "--kmax", "6"])
+except BrokenPipeError:
+    given = "BrokenPipeError"
+after = os.fstat(1)
+sys.stdout = sys.__stdout__
+print(given, (before.st_dev, before.st_ino) == (after.st_dev, after.st_ino))
+"""
+
+
+def test_main_raises_a_broken_pipe_to_its_caller_and_leaves_fd_1_alone():
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_STDOUT_CALL],
+        capture_output=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"BrokenPipeError True\n", b"")
 
 
 def test_a_large_record_read_through_a_pipe_is_whole(capsys):
@@ -818,11 +870,11 @@ def test_the_console_script_runs_what_python_m_runs():
     assert call.args == call.keywords == []
 
 
-# Runs the command line of its arguments on two CPUs, and prints the
+# Runs the dyckwalk process of its arguments on two CPUs, and prints the
 # threads of this process at each fork and the OPENBLAS_NUM_THREADS it has.
 THREADS_PROBE = """
 import os, sys
-from dyckwalk.cli import main
+from dyckwalk import cli
 fork = os.fork
 def reporting():
     with open("/proc/self/status") as status:
@@ -830,9 +882,8 @@ def reporting():
     print(*threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
     return fork()
 os.fork, os.sched_getaffinity = reporting, lambda pid: {0, 1}
-sys.exit(main(sys.argv[1:]))
+cli.run()
 """
-SPLIT_WALK = ("walk", "--m", "3", "--p", "1/3", "--trials", "70000")
 
 
 def threads_at_fork(argv, **env) -> str:
@@ -851,8 +902,8 @@ def threads_at_fork(argv, **env) -> str:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
 @pytest.mark.parametrize(
     "argv, printed",
-    # walk sets the variable for numpy's import and unsets it again before the fork
-    [(SPLIT_WALK, "1 None\n"), (("table", "--n", "100", "--kmax", "2000"), "1 None\n")],
+    # the process sets the variable before numpy's import, and every command has it
+    [(SPLIT_WALK, "1 1\n"), (("table", "--n", "100", "--kmax", "2000"), "1 1\n")],
     ids=["walk", "table"],
 )
 def test_a_command_forks_from_one_thread(argv, printed):

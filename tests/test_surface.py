@@ -188,3 +188,24 @@ def test_only_the_command_and_a_forked_child_end_the_process():
     in_branches = [s for body in child_branches for stmt in body for s in spellings(stmt)
                    if s == "os._exit"]
     assert exits and exits == in_branches
+
+
+# What outlasts the call that sets it: the process's environment, its file
+# descriptors and its standard streams.
+PROCESS_STATE = {"os.environ", "os.dup2", "os.devnull"}
+STREAMS = {"sys.stdout", "sys.stderr"}
+
+
+def test_only_the_command_sets_process_wide_state():
+    # main and all under it are library calls, made in-process by the tests
+    # and traced.py; only the process itself may set what the caller keeps.
+    assert {owner for owner, _ in spelled_at(PROCESS_STATE)} == {COMMAND}
+    assigned = {
+        (path.stem, getattr(node, "name", None))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and ast.unparse(sub) in STREAMS
+    }
+    assert assigned == {COMMAND}
