@@ -25,9 +25,10 @@ import math
 import os
 import sys
 import time
-from contextlib import suppress
-from typing import NoReturn
+from contextlib import closing, suppress
+from typing import Iterator, NoReturn
 
+from .child import _in_child
 from .genfunc import DivisibilityError, count_table
 from .heightpoly import height_poly
 from .oracle import BRUTEFORCE_MAX_ORDER, contfrac_rows, count_paths_bruteforce, count_row_dp
@@ -44,10 +45,12 @@ _EXIT_CODES = {"ok": 0, "mismatch": EXIT_MISMATCH, "error": EXIT_ERROR, "defect"
 # measured at the ceiling: table --n 3999..4000 --kmax 4000 in 5.7-6.9 s
 # and 36-37 MiB, 20 MiB in its child (--n has no ceiling: a row runs at
 # min(n, kmax), and the sweeps grow with n up to there; two runs each),
-# hpoly --m 40000 in 16-18 s and 490-545 MiB, walk --m 500000 --p 2/5
-# --trials 1 in 15-16 s and 34 MiB (m 1000000 took 67 s), verify --n-max
-# 100 --k-max 4000 in 31-34 s and 28 MiB on a busy host (the DP and series
-# rows are most of it; --n-max 150 took 70 s).  Two walk ceilings bound products:
+# hpoly --m 40000 in 14.2-15.0 s and 185 MiB (the record streamed; built
+# whole first, 479 MiB), walk --m 500000 --p 2/5 --trials 1 in 15-16 s and
+# 34 MiB (m 1000000 took 67 s), verify --n-max 100 --k-max 4000 in
+# 13.2-14.4 s with its rows split between two processes and 23.2-23.5 s
+# under taskset -c 0, at 28 MiB (the DP and series rows are most of it;
+# --n-max 150 took 70 s in one process).  Two walk ceilings bound products:
 # m times the bits of an exact p's denominator, which sizes the exact
 # rationals (--m 150000 --p 511/1023 took 50 s, --m 200000 --p 999/1000
 # 74 s), and the work of the trials, which is their time (the simulator's
@@ -70,6 +73,13 @@ MAX_WALK_EXACT_BITS = 1_500_000
 MAX_WALK_WORK = 15 * 10 ** 8
 MAX_VERIFY_N = 100
 MAX_VERIFY_K = 4000
+# verify splits its rows between two processes when the grid's work,
+# the sum over its rows of (n+1) * (k_max+1), reaches this.  Split against
+# one process, in elapsed_ms (medians of 40 alternating launches, 2 cores):
+# (10, 100), work 6,666, 14.6 against 12.6; (15, 100), 13,736, 15.1 against
+# 15.3; (10, 300), 19,866, 26.1 against 29.7; (20, 150), 34,881, 21.6
+# against 25.2.  The benchmark's verify-grid, (20, 300), is 69,531.
+VERIFY_SPLIT_MIN_WORK = 20_000
 
 
 def _json_safe(value):
@@ -85,7 +95,8 @@ def _json_safe(value):
 
 def _emit(record: dict, rows: tuple[list[str], list[list]], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_json_safe(record), sort_keys=True))
+        json.dump(_json_safe(record), sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         header, data = rows
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -122,46 +133,81 @@ def _cmd_table(args) -> tuple[str, dict, tuple]:
     return "ok", {"counts": counts}, rows
 
 
+# verify's routes, in the order of its CSV columns and of a mismatched cell's ints.
+_ROUTES = ("series", "dp", "contfrac", "bruteforce")
+
+
 def _cmd_verify(args) -> tuple[str, dict, tuple]:
     for flag, value in (("--n-max", args.n_max), ("--k-max", args.k_max)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     _check_ceiling("--n-max", args.n_max, MAX_VERIFY_N)
     _check_ceiling("--k-max", args.k_max, MAX_VERIFY_K)
+    n_max, k_max = args.n_max, args.k_max
+    # This process checks the fewest lowest rows that hold at least half of
+    # the work, row n's taken as n+1, and a child forked before any row is
+    # built checks the rest; its cells follow this band's, so the record is
+    # that of one process.
+    split, lower, total = 0, 0, (n_max + 1) * (n_max + 2) // 2
+    while 2 * lower < total:
+        split += 1
+        lower += split
+    # The brute force's histograms of every order, built before the fork
+    # for both bands.
+    orders = range(min(k_max, BRUTEFORCE_MAX_ORDER) + 1)
+    for k in orders:
+        count_paths_bruteforce(k, k)
+    upper = None
+    if split <= n_max and total * (k_max + 1) >= VERIFY_SPLIT_MIN_WORK:
+        upper = _in_child(_mismatched_cells(split, n_max, k_max), "verify band")
+    if upper is None:
+        cells = list(_mismatched_cells(0, n_max, k_max))
+    else:
+        with closing(upper):
+            cells = [*_mismatched_cells(0, split - 1, k_max), *upper]
     mismatches = []
-    # One row per route and height bound: the series, one DP pass and the
-    # next convergent of one continued-fraction sweep.  Rows are compared
-    # whole, and cell by cell only when they disagree.
-    for n, contfrac in enumerate(contfrac_rows(args.n_max, args.k_max)):
-        series = list(count_table(n, args.k_max).counts)
-        dp = count_row_dp(n, args.k_max)
-        brute = [
-            count_paths_bruteforce(k, n)
-            for k in range(min(args.k_max, BRUTEFORCE_MAX_ORDER) + 1)
-        ]
-        if series == dp == contfrac and brute == dp[:len(brute)]:
-            continue
-        for k in range(args.k_max + 1):
-            routes = {"series": series[k], "dp": dp[k], "contfrac": contfrac[k]}
-            if k < len(brute):
-                routes["bruteforce"] = brute[k]
-            if len(set(routes.values())) > 1:
-                mismatches.append({"n": n, "k": k} | {r: str(v) for r, v in routes.items()})
+    stream = iter(cells)
+    for n, k, *routes in zip(stream, stream, stream, stream, stream):
+        if k in orders:
+            routes.append(next(stream))
+        mismatches.append({"n": n, "k": k} | dict(zip(_ROUTES, map(str, routes))))
     status = "ok" if not mismatches else "mismatch"
     results = {
-        "cells": (args.n_max + 1) * (args.k_max + 1),
+        "cells": (n_max + 1) * (k_max + 1),
         "mismatch_count": len(mismatches),
         "mismatches": mismatches,
         "bruteforce_max_order": BRUTEFORCE_MAX_ORDER,
     }
     rows = (
-        ["n", "k", "series", "dp", "contfrac", "bruteforce"],
-        [
-            [mm["n"], mm["k"], mm["series"], mm["dp"], mm["contfrac"], mm.get("bruteforce", "")]
-            for mm in mismatches
-        ],
+        ["n", "k", *_ROUTES],
+        [[mm["n"], mm["k"], *(mm.get(route, "") for route in _ROUTES)] for mm in mismatches],
     )
     return status, results, rows
+
+
+def _mismatched_cells(n_min: int, n_max: int, k_max: int) -> Iterator[int]:
+    """Each cell of rows n_min..n_max on which the routes disagree, as ints:
+    n, k, the series, the DP and the convergent, then the brute force's
+    count when k <= min(k_max, BRUTEFORCE_MAX_ORDER).
+
+    One row per route and height bound: the series, one DP pass and the
+    next convergent of one continued-fraction sweep.  Rows are compared
+    whole, and cell by cell only when they disagree.
+    """
+    orders = range(min(k_max, BRUTEFORCE_MAX_ORDER) + 1)
+    for n, contfrac in enumerate(contfrac_rows(n_max, k_max, n_min), n_min):
+        series = list(count_table(n, k_max).counts)
+        dp = count_row_dp(n, k_max)
+        brute = [count_paths_bruteforce(k, n) for k in orders]
+        if series == dp == contfrac and brute == dp[:len(brute)]:
+            continue
+        for k, routes in enumerate(zip(series, dp, contfrac)):
+            if k < len(brute):
+                routes += (brute[k],)
+            if len(set(routes)) > 1:
+                yield n
+                yield k
+                yield from routes
 
 
 def _zscore(estimate: float, se: float, exact: float):
@@ -366,10 +412,10 @@ def _run(args) -> int:
 
     A check that only a bug can fail (a series coefficient off its 2k+1
     divisor, the brute-force filter check, an even-length walk success,
-    a child of count_table's pipeline or of walk's split that failed or
-    cut its stream short) ends in status "defect" and exit 3; bad input
-    in "error" and exit 2.  The record of a run that raised carries its
-    message, which also goes to stderr.
+    a child of count_table's pipeline, of walk's split or of verify's
+    upper band that failed or cut its stream short) ends in status
+    "defect" and exit 3; bad input in "error" and exit 2.  The record of
+    a run that raised carries its message, which also goes to stderr.
     """
     params = _parameters(args)
     start = time.perf_counter()

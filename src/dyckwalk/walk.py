@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .genfunc import _in_child
+from .child import _in_child
 from .heightpoly import check_step_probability, power_diff_ratio
 
 if TYPE_CHECKING:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from dyckwalk import genfunc
+from dyckwalk import cli, genfunc
 
 
 @pytest.fixture(autouse=True)
@@ -20,9 +20,10 @@ def no_child_left_behind():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Open the gates of count_table's pipeline, to every sweep row, and of
-    walk.simulate's split, to every run of more than one pool, as on a host
-    with two CPUs, and count the forks this process makes."""
+    """Open the gates of count_table's pipeline, to every sweep row, of
+    walk.simulate's split, to every run of more than one pool, and of
+    verify's split, to every grid of more than one row, as on a host with
+    two CPUs, and count the forks this process makes."""
     made = []
     fork = os.fork
 
@@ -31,6 +32,7 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(genfunc, "PIPELINE_MIN_WORK", 0)
+    monkeypatch.setattr(cli, "VERIFY_SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     return made

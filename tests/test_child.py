@@ -1,0 +1,45 @@
+"""The fork helper's rule against nesting: two processes hold both CPUs."""
+
+import os
+
+import pytest
+
+from dyckwalk import child
+from dyckwalk.child import _in_child
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def forks_again():
+    """In a child: 1 for each fork the child would refuse, 0 for one it would make."""
+    yield int(not child._second_cpu())
+    yield int(_in_child(iter([1]), "inner") is None)
+
+
+@needs_fork
+def test_a_child_does_not_fork_again(forks):
+    assert list(_in_child(forks_again(), "outer")) == [1, 1]
+    assert forks == [1]
+
+
+@needs_fork
+def test_a_process_with_a_running_child_does_not_fork_again(forks):
+    assert child._second_cpu()
+    outer = _in_child(iter([1, 2]), "outer")
+    assert not child._second_cpu()
+    assert _in_child(iter([3]), "inner") is None
+    assert list(outer) == [1, 2]
+    assert forks == [1]
+    # the stream read to its end: the child is reaped, and a fork may follow
+    assert child._second_cpu()
+    assert list(_in_child(iter([3]), "next")) == [3]
+    assert forks == [1, 1]
+
+
+@needs_fork
+def test_a_closed_stream_lets_the_process_fork_again(forks):
+    outer = _in_child(iter(range(10 ** 6)), "outer")
+    assert next(outer) == 0
+    outer.close()
+    assert child._second_cpu()
+    assert forks == [1]

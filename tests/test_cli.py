@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -121,12 +122,13 @@ def test_verify_builds_each_row_once(capsys, monkeypatch):
     assert code == 0
     assert record["results"]["cells"] == 4 * 17
     assert dp_rows == [(n, 16) for n in range(4)]
-    assert sweeps == [(3, 16)]
+    assert sweeps == [(3, 16, 0)]
     assert cells == [] and "count_paths_dp" not in vars(cli)
-    # every brute-force order enumerated once, however many bounds ask for it
+    # every brute-force order enumerated once, before the rows, however
+    # many bounds ask for it
     info = oracle._maxima_histograms.cache_info()
     assert info.misses == oracle.BRUTEFORCE_MAX_ORDER + 1
-    assert info.hits == 4 * (oracle.BRUTEFORCE_MAX_ORDER + 1) - info.misses
+    assert info.hits == 5 * (oracle.BRUTEFORCE_MAX_ORDER + 1) - info.misses
 
 
 def test_verify_reports_each_mismatched_cell(capsys, monkeypatch):
@@ -557,8 +559,12 @@ def test_a_failed_walk_child_is_a_defect(capsys, monkeypatch, forks, exit_code, 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 @pytest.mark.parametrize(
     "argv",
-    [("table", "--n", "100", "--kmax", "2000"), ("walk", "--m", "3", "--p", "1/3", "--trials", "70000")],
-    ids=["table", "walk"],
+    [
+        ("table", "--n", "100", "--kmax", "2000"),
+        ("walk", "--m", "3", "--p", "1/3", "--trials", "70000"),
+        ("verify", "--n-max", "20", "--k-max", "300"),
+    ],
+    ids=["table", "walk", "verify"],
 )
 def test_a_pipe_that_fails_gives_the_record_of_one_process(capsys, monkeypatch, forks, argv):
     def no_descriptor_to_spare():
@@ -577,6 +583,170 @@ def test_a_pipe_that_fails_gives_the_record_of_one_process(capsys, monkeypatch, 
     assert forks == []
 
 
+def planted_dp(monkeypatch, cells) -> list[int]:
+    """Plant a DP count one too large at each (n, k) of `cells`, and return
+    the list of the rows that this process builds."""
+    built = []
+
+    def one_off(n, kmax):
+        built.append(n)
+        row = oracle.count_row_dp(n, kmax)
+        for bad_n, bad_k in cells:
+            if n == bad_n:
+                row[bad_k] += 1
+        return row
+
+    monkeypatch.setattr(cli, "count_row_dp", one_off)
+    return built
+
+
+# With the split open, --n-max 4 leaves rows 0..3 here and row 4 to the
+# child (rows 0..3 hold 10 of the 15 units of work, rows 0..2 only 6), and
+# --n-max 20 rows 0..14 here and 15..20 there.  (1, 3) and (15, 3) are
+# cells the brute force covers, (4, 15) and (20, 300) are past its guard,
+# the first of them on the first order it leaves out.
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "n_max, k_max, here, planted",
+    [
+        (4, 16, 4, ()),
+        (4, 16, 4, ((1, 3), (4, 15))),
+        (20, 300, 15, ()),
+        (20, 300, 15, ((15, 3), (3, 300), (20, 300))),
+    ],
+    ids=["ok", "mismatch", "grid-ok", "grid-mismatch"],
+)
+def test_a_split_verify_gives_the_record_of_one_process(
+    capsys, monkeypatch, forks, fmt, n_max, k_max, here, planted
+):
+    argv = ("verify", "--n-max", str(n_max), "--k-max", str(k_max), "--format", fmt)
+    built = planted_dp(monkeypatch, planted)
+    with monkeypatch.context() as shut:
+        shut.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, out, err = run_cli(capsys, *argv)
+    assert forks == []
+    assert built == list(range(n_max + 1))
+    built.clear()
+    split = run_cli(capsys, *argv)
+    assert forks == [1]
+    assert built == list(range(here))  # the rest in the child
+    assert (split[0], without_elapsed(split[1]), split[2]) == (code, without_elapsed(out), err)
+    assert code == (1 if planted else 0)
+    if fmt == "json":
+        mismatches = json.loads(out)["results"]["mismatches"]
+        assert [(mm["n"], mm["k"]) for mm in mismatches] == sorted(planted)
+    else:
+        assert [row[:2] for row in csv.reader(io.StringIO(out))][1:] == [
+            [str(n), str(k)] for n, k in sorted(planted)
+        ]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize(
+    "exit_code, status", [(1, 1 << 8), (0, 0)], ids=["exits-nonzero", "short-stream"]
+)
+def test_a_failed_verify_child_is_a_defect(capsys, monkeypatch, forks, exit_code, status):
+    # the child writes the n of a first mismatched cell, and ends there
+    cells, parent = cli._mismatched_cells, os.getpid()
+
+    def faulty(n_min, n_max, k_max):
+        if os.getpid() == parent:
+            yield from cells(n_min, n_max, k_max)
+        else:
+            yield n_min
+            os._exit(exit_code)
+
+    monkeypatch.setattr(cli, "_mismatched_cells", faulty)
+    code, record, err = run_json(capsys, "verify", "--n-max", "4", "--k-max", "16")
+    assert forks == [1]
+    assert code == EXIT_DEFECT
+    message = (
+        f"ChildProcessError: the verify band's child process ended with wait status {status} "
+        "after writing a stream cut short"
+    )
+    assert err == f"defect: {message}\n"
+    assert record["status"] == "defect"
+    assert record["parameters"] == {"n_max": 4, "k_max": 16}
+    assert record["results"] == {"error": message}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_a_lower_band_that_raises_kills_and_reaps_the_child(capsys, monkeypatch, forks):
+    # the child is still on its rows when this process gives up; the
+    # autouse fixture of conftest.py fails the test if it is left unreaped
+    parent = os.getpid()
+
+    def lower_band_fails(n, kmax):
+        if os.getpid() == parent:
+            raise AssertionError("injected fault in the lower band")
+        return oracle.count_row_dp(n, kmax)
+
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    verify, seen = cli._cmd_verify, []
+
+    def reaped_on_the_way_out(args):
+        try:
+            return verify(args)
+        finally:  # as the error leaves verify, before anything collects it
+            seen.append(list(statuses))
+
+    monkeypatch.setattr(cli, "count_row_dp", lower_band_fails)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    monkeypatch.setattr(cli, "_cmd_verify", reaped_on_the_way_out)
+    code, record, _ = run_json(capsys, "verify", "--n-max", "100", "--k-max", "1000")
+    assert forks == [1]
+    assert code == EXIT_DEFECT
+    assert record["results"] == {"error": "AssertionError: injected fault in the lower band"}
+    assert seen == [[signal.SIGKILL]]  # killed, not waited out
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_verify_bands_run_count_table_in_one_process_each(capsys, forks):
+    # with count_table's pipeline open to every sweep row, this process's
+    # band, rows 0..71, holds the sweep rows 47..71, and forks none of them
+    assert run_json(capsys, "verify", "--n-max", "100", "--k-max", "50")[0] == 0
+    assert forks == [1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_one_row_or_one_cpu_runs_verify_in_one_process(capsys, monkeypatch, forks):
+    # one row leaves the child no band, even with the split's gate open
+    assert run_json(capsys, "verify", "--n-max", "0", "--k-max", "300")[0] == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_json(capsys, "verify", "--n-max", "20", "--k-max", "300")[0] == 0
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize(
+    "n_max, k_max, forked",
+    # 1, 6,666 and 13,736 units of work, below the floor, then 69,531
+    [(0, 0, []), (10, 100, []), (15, 100, []), (20, 300, [1])],
+    ids=["probe", "10-100", "15-100", "verify-grid"],
+)
+def test_the_split_floor_lets_verify_grid_fork_and_keeps_the_probe_here(
+    capsys, monkeypatch, n_max, k_max, forked
+):
+    made, fork = [], os.fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    assert run_json(capsys, "verify", "--n-max", str(n_max), "--k-max", str(k_max))[0] == 0
+    assert made == forked
+
+
 def processes_with(marker: str) -> list[int]:
     """The processes whose environment holds `marker`, read from /proc."""
     found = []
@@ -590,20 +760,19 @@ def processes_with(marker: str) -> list[int]:
     return found
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to look for processes in")
-def test_pipelined_table_read_by_head_exits_141_and_leaves_no_process():
-    # dyckwalk table --n 1000 --kmax 2000 | head -c 100; the row forks on
-    # two CPUs, and its child inherits the marker
+def read_then_close(argv, size: int) -> tuple[bytes, int, list[int], bytes]:
+    """`dyckwalk <argv> | head -c <size>`: what the reader got, the exit code,
+    any process still holding the run's marker, and stderr."""
     marker = f"DYCKWALK_TEST_MARKER={os.getpid()}.{id(object())}"
     name, value = marker.split("=")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dyckwalk", "table", "--n", "1000", "--kmax", "2000"],
+        [sys.executable, "-m", "dyckwalk", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(_child_env(), **{name: value}),
     )
     try:
-        head = proc.stdout.read(100)
+        head = proc.stdout.read(size)
         proc.stdout.close()
         code = proc.wait(timeout=60)
         left = processes_with(marker)
@@ -612,7 +781,26 @@ def test_pipelined_table_read_by_head_exits_141_and_leaves_no_process():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+    return head, code, left, err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to look for processes in")
+def test_pipelined_table_read_by_head_exits_141_and_leaves_no_process():
+    # dyckwalk table --n 1000 --kmax 2000 | head -c 100; the row forks on
+    # two CPUs, and its child inherits the marker
+    head, code, left, err = read_then_close(("table", "--n", "1000", "--kmax", "2000"), 100)
     assert len(head) == 100
+    assert code == EXIT_BROKEN_PIPE
+    assert left == []
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to look for processes in")
+def test_a_reader_gone_in_the_middle_of_a_streamed_record_gives_141():
+    # the record of hpoly --m 3000 is about 0.68 MB; the reader takes its
+    # first 4 KiB, so the broken pipe comes while json writes the coefficients
+    head, code, left, err = read_then_close(("hpoly", "--m", "3000"), 4096)
+    assert len(head) == 4096
     assert code == EXIT_BROKEN_PIPE
     assert left == []
     assert err == b""

@@ -119,8 +119,8 @@ def test_every_name_in_src_has_a_caller_outside_the_tests():
 
 def test_walk_imports_only_heightpoly_and_the_fork_helpers():
     # The tests check walk's exact routes against genfunc's closed form, so
-    # walk takes none of its counting code: from genfunc only the process
-    # helpers that split a run of many pools between two CPUs.
+    # walk takes no counting module: from child only the process helper
+    # that splits a run of many pools between two CPUs.
     tree = ast.parse((PACKAGE / "walk.py").read_text())
     imported = {
         (node.module, alias.name)
@@ -128,8 +128,8 @@ def test_walk_imports_only_heightpoly_and_the_fork_helpers():
         if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
     }
-    assert {module for module, _ in imported} == {"heightpoly", "genfunc"}
-    assert {name for module, name in imported if module == "genfunc"} == {"_in_child"}
+    assert {module for module, _ in imported} == {"heightpoly", "child"}
+    assert {name for module, name in imported if module == "child"} == {"_in_child"}
 
 
 # What forks, pipes, reaps or kills a child, or decides whether one runs.
@@ -161,10 +161,10 @@ def spelled_at(points: set[str]) -> set[tuple[Ref, str]]:
 
 
 def test_only_the_fork_helpers_fork_or_decide_to():
-    # A third forking caller goes through _in_child, as count_table and
-    # walk.simulate do, and so gets its CPU test and every fallback.
+    # Every forking caller (count_table, walk.simulate and verify) goes
+    # through _in_child, and so gets its CPU test and every fallback.
     found = spelled_at(FORK_POINTS)
-    assert {owner for owner, _ in found} == {("genfunc", "_in_child"), ("genfunc", "_from_child")}
+    assert {owner for owner, _ in found} == {("child", "_in_child"), ("child", "_from_child")}
     assert {spelled for _, spelled in found} == FORK_POINTS
 
 
@@ -173,10 +173,10 @@ def test_only_the_command_and_a_forked_child_end_the_process():
     # ends by it once main has returned, and _in_child's child so as not
     # to return into its parent's stack; anywhere else it would end the
     # process of a library caller, a test or traced.py.
-    assert {owner for owner, _ in spelled_at({"os._exit"})} == {COMMAND, ("genfunc", "_in_child")}
+    assert {owner for owner, _ in spelled_at({"os._exit"})} == {COMMAND, ("child", "_in_child")}
     (in_child,) = [
         node
-        for node in ast.parse((PACKAGE / "genfunc.py").read_text()).body
+        for node in ast.parse((PACKAGE / "child.py").read_text()).body
         if getattr(node, "name", None) == "_in_child"
     ]
     child_branches = [

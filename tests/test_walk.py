@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dyckwalk import genfunc, walk
+from dyckwalk import child, walk
 from dyckwalk.heightpoly import power_diff_ratio
 from dyckwalk.walk import (
     WalkConfig,
@@ -324,7 +324,7 @@ def test_memory_does_not_grow_with_trials(forks):
         return traced_peak(WalkConfig(m=3, p=Fraction(1, 3), trials=trials, seed=1))
 
     one_pool = peak(walk._POOL)
-    with mock.patch.object(genfunc, "_second_cpu", lambda: False):
+    with mock.patch.object(child, "_second_cpu", lambda: False):
         assert peak(4 * walk._POOL) <= 1.25 * one_pool
     assert forks == []
     assert peak(8 * walk._POOL) <= 1.25 * one_pool
@@ -339,7 +339,7 @@ def test_footprint_is_a_few_pool_sized_arrays(forks):
     # The bound is on this process: all of the trials with the gate shut,
     # the lower half of them with it open.
     cfg = WalkConfig(m=3, p=Fraction(1, 3), trials=4 * walk._POOL, seed=1)
-    with mock.patch.object(genfunc, "_second_cpu", lambda: False):
+    with mock.patch.object(child, "_second_cpu", lambda: False):
         assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
     assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
     assert forks == [1]
@@ -357,7 +357,7 @@ def test_footprint_is_a_few_pool_sized_arrays(forks):
 )
 def test_a_split_run_gives_estimate_what_one_process_gives(forks, cfg):
     with mock.patch.object(walk, "_estimate", wraps=walk._estimate) as estimate:
-        with mock.patch.object(genfunc, "_second_cpu", lambda: False):
+        with mock.patch.object(child, "_second_cpu", lambda: False):
             whole = simulate(cfg)
         assert forks == []
         split = simulate(cfg)
@@ -427,7 +427,7 @@ def test_a_pipe_or_fork_that_fails_runs_the_walk_in_this_process(forks, monkeypa
         raise FAILURES[call]
 
     cfg = WalkConfig(m=8, p=Fraction(2, 5), trials=2 * walk._POOL + 1, seed=3)
-    with mock.patch.object(genfunc, "_second_cpu", lambda: False):
+    with mock.patch.object(child, "_second_cpu", lambda: False):
         whole = simulate(cfg)
     monkeypatch.setattr(os, call, fail)
     with mock.patch.object(walk, "_run", wraps=walk._run) as run:
