@@ -1,13 +1,15 @@
 """Work run in a forked child process, its ints streamed back through a pipe.
 
 count_table's pipeline, walk.simulate's split and verify's upper band of
-rows each hand _in_child an iterator of ints.  _in_child decides whether
-a child runs at all; every caller keeps one in-process path for a None.
-A child, or a process whose child is running, does not fork again: the
-two processes already hold both CPUs.  So verify's bands run count_table
-in one process each; with its pipeline forking inside both, verify
---n-max 100 --k-max 2000 took 3.94 s against 3.67 s, and --k-max 4000
-12.85 s against 11.74 s (medians of 4 and 3 alternating runs, 2 cores).
+rows each hand _in_child an iterator of ints whenever their work has two
+parts, and read back an iterator of the same ints.  _in_child alone
+decides whether a child computes them; if none does, the caller reads
+its own iterator, so it keeps one path.  A child, or a process whose
+child is running, does not fork again: the two processes already hold
+both CPUs.  So verify's bands run count_table in one process each; with
+its pipeline forking inside both, verify --n-max 100 --k-max 2000 took
+3.94 s against 3.67 s, and --k-max 4000 12.85 s against 11.74 s
+(medians of 4 and 3 alternating runs, 2 cores).
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iterator[int] | None:
+def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iterator[int]:
     """The items of `terms`, computed in a child process forked at once, or
-    None, with no child, when one CPU is usable or the pipe or fork fails.
+    iter(terms) itself, with no child, when one CPU is usable, when this
+    process is a child or has one running, or when the pipe or fork fails.
 
     The child is running when this returns, so the caller can work
     alongside it before it reads the items.  The child iterates `terms`
@@ -49,7 +52,7 @@ def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iter
     """
     global _busy
     if not _second_cpu():
-        return None
+        return iter(terms)
     fds = ()
     try:
         fds = read_fd, write_fd = os.pipe()
@@ -57,7 +60,7 @@ def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iter
     except OSError:  # no descriptor or no process to spare
         for fd in fds:
             os.close(fd)
-        return None
+        return iter(terms)
     if pid == 0:
         _busy = True
         code = 1

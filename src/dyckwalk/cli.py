@@ -73,13 +73,6 @@ MAX_WALK_EXACT_BITS = 1_500_000
 MAX_WALK_WORK = 15 * 10 ** 8
 MAX_VERIFY_N = 100
 MAX_VERIFY_K = 4000
-# verify splits its rows between two processes when the grid's work,
-# the sum over its rows of (n+1) * (k_max+1), reaches this.  Split against
-# one process, in elapsed_ms (medians of 40 alternating launches, 2 cores):
-# (10, 100), work 6,666, 14.6 against 12.6; (15, 100), 13,736, 15.1 against
-# 15.3; (10, 300), 19,866, 26.1 against 29.7; (20, 150), 34,881, 21.6
-# against 25.2.  The benchmark's verify-grid, (20, 300), is 69,531.
-VERIFY_SPLIT_MIN_WORK = 20_000
 
 
 def _json_safe(value):
@@ -146,8 +139,8 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
     n_max, k_max = args.n_max, args.k_max
     # This process checks the fewest lowest rows that hold at least half of
     # the work, row n's taken as n+1, and a child forked before any row is
-    # built checks the rest; its cells follow this band's, so the record is
-    # that of one process.
+    # built checks the rest, if a grid of three rows or more leaves any; its
+    # cells follow this band's, so the record is that of one process.
     split, lower, total = 0, 0, (n_max + 1) * (n_max + 2) // 2
     while 2 * lower < total:
         split += 1
@@ -157,14 +150,11 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
     orders = range(min(k_max, BRUTEFORCE_MAX_ORDER) + 1)
     for k in orders:
         count_paths_bruteforce(k, k)
-    upper = None
-    if split <= n_max and total * (k_max + 1) >= VERIFY_SPLIT_MIN_WORK:
-        upper = _in_child(_mismatched_cells(split, n_max, k_max), "verify band")
-    if upper is None:
-        cells = list(_mismatched_cells(0, n_max, k_max))
-    else:
-        with closing(upper):
-            cells = [*_mismatched_cells(0, split - 1, k_max), *upper]
+    upper = _mismatched_cells(split, n_max, k_max)
+    if split <= n_max:
+        upper = _in_child(upper, "verify band")
+    with closing(upper):
+        cells = [*_mismatched_cells(0, split - 1, k_max), *upper]
     mismatches = []
     stream = iter(cells)
     for n, k, *routes in zip(stream, stream, stream, stream, stream):

@@ -31,19 +31,6 @@ from .poly import IntPoly, mul, series_coeffs
 
 _ONE_MINUS_4X: IntPoly = (1, -4)
 _DIGIT_BITS = sys.int_info.bits_per_digit
-# count_table runs its two sweeps as a pipeline of two processes when
-# the additions that overlap, kmax * min(kmax, n) (the second sweep's
-# steps up to 2 * kmax, which run while the first is still sweeping),
-# reach this.  A fork cost 3.5 ms in a `table` process and more in
-# `verify`, whose larger heap the parent faults back in page by page
-# after each fork.  Forking every sweep row (medians of three runs, 2
-# cores): verify --n-max 100 --k-max 1000, overlaps 47,000-100,000, went
-# 3.6 -> 4.2 s, its 54 forks adding 25,000 minor faults and 0.15 s of
-# system time; --k-max 2000, overlaps 94,000-200,000, went 11.3 -> 10.4 s.
-# In `table`, rows of 50,000-160,000 came out between -16 and +8 ms
-# (medians of 15 pairs, in-process), and (100, 4000), at 400,000, gains
-# about 0.1 s.
-PIPELINE_MIN_WORK = 120_000
 
 
 class DivisibilityError(ArithmeticError):
@@ -111,14 +98,13 @@ def count_table(n: int, kmax: int) -> CountTable:
 
     The two sweeps form a pipeline: the second takes term j of the first
     one's quotient at its step 2j, and the first reads that term at its
-    step 2j + h.  When the additions that overlap, kmax * h, reach
-    PIPELINE_MIN_WORK, _in_child runs the first sweep in a forked
-    child that streams its quotient to the second one here; if it returns
-    None (one usable CPU, a failed pipe or fork, or a process that is a
-    child or has one running, as each of verify's bands does), the same
-    chain runs in this process.  The arguments are
-    checked before any fork (series_coeffs names a negative kmax), and a
-    child that fails raises ChildProcessError.
+    step 2j + h.  So every sweep row hands the first sweep to _in_child,
+    which runs it in a forked child that streams its quotient to the
+    second one here, or, with one usable CPU, a failed pipe or fork, or a
+    process that is a child or has one running (as each of verify's bands
+    does), hands it back to be pulled term by term in this process.  The
+    arguments are checked before any fork (series_coeffs names a negative
+    kmax), and a child that fails raises ChildProcessError.
     """
     h = min(n, max(kmax, 0))
     series = series_numerator(h)
@@ -127,9 +113,7 @@ def count_table(n: int, kmax: int) -> CountTable:
         series = series_coeffs(series, den, kmax)
         series = series_coeffs(series, den, kmax)
     else:
-        first = sweep_height_poly(series, h + 2, kmax)
-        if kmax * h >= PIPELINE_MIN_WORK:
-            first = _in_child(first, "sweep", kmax + 1) or first
+        first = _in_child(sweep_height_poly(series, h + 2, kmax), "sweep", kmax + 1)
         with closing(first):
             series = divide_by_height_poly(first, h + 2, kmax)
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)

@@ -4,8 +4,6 @@ import os
 
 import pytest
 
-from dyckwalk import cli, genfunc
-
 
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
@@ -20,10 +18,10 @@ def no_child_left_behind():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Open the gates of count_table's pipeline, to every sweep row, of
-    walk.simulate's split, to every run of more than one pool, and of
-    verify's split, to every grid of more than one row, as on a host with
-    two CPUs, and count the forks this process makes."""
+    """Give this process two usable CPUs, so that count_table forks on
+    every sweep row, walk.simulate on every run of more than one pool and
+    verify on every grid of three rows or more, and count the forks this
+    process makes."""
     made = []
     fork = os.fork
 
@@ -31,8 +29,6 @@ def forks(monkeypatch):
         made.append(1)
         return fork()
 
-    monkeypatch.setattr(genfunc, "PIPELINE_MIN_WORK", 0)
-    monkeypatch.setattr(cli, "VERIFY_SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     return made

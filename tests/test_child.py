@@ -10,15 +10,18 @@ from dyckwalk.child import _in_child
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
 
-def forks_again():
-    """In a child: 1 for each fork the child would refuse, 0 for one it would make."""
+def forks_again(forks):
+    """In a child: 1 for each fork the child would refuse, 0 for one it
+    would make, then the forks the child made."""
     yield int(not child._second_cpu())
-    yield int(_in_child(iter([1]), "inner") is None)
+    inner = iter([1])
+    yield int(_in_child(inner, "inner") is inner)
+    yield len(forks) - 1  # the outer fork, counted before the child began
 
 
 @needs_fork
 def test_a_child_does_not_fork_again(forks):
-    assert list(_in_child(forks_again(), "outer")) == [1, 1]
+    assert list(_in_child(forks_again(forks), "outer")) == [1, 1, 0]
     assert forks == [1]
 
 
@@ -27,7 +30,8 @@ def test_a_process_with_a_running_child_does_not_fork_again(forks):
     assert child._second_cpu()
     outer = _in_child(iter([1, 2]), "outer")
     assert not child._second_cpu()
-    assert _in_child(iter([3]), "inner") is None
+    inner = iter([3])
+    assert _in_child(inner, "inner") is inner
     assert list(outer) == [1, 2]
     assert forks == [1]
     # the stream read to its end: the child is reaped, and a fork may follow

@@ -118,11 +118,14 @@ def test_verify_builds_each_row_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "contfrac_rows", recorder(sweeps, oracle.contfrac_rows))
     monkeypatch.setattr(oracle, "count_paths_dp", recorder(cells, oracle.count_paths_dp))
     oracle._maxima_histograms.cache_clear()
+    # on one CPU, so that every row is built in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     code, record, _ = run_json(capsys, "verify", "--n-max", "3", "--k-max", "16")
     assert code == 0
     assert record["results"]["cells"] == 4 * 17
     assert dp_rows == [(n, 16) for n in range(4)]
-    assert sweeps == [(3, 16, 0)]
+    # one sweep for each band, rows 0..2 and row 3, each dividing its own rows
+    assert sweeps == [(2, 16, 0), (3, 16, 3)]
     assert cells == [] and "count_paths_dp" not in vars(cli)
     # every brute-force order enumerated once, before the rows, however
     # many bounds ask for it
@@ -494,8 +497,8 @@ def test_defect_record_in_csv(capsys, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 def test_negative_kmax_of_a_sweep_row_is_refused_before_any_fork(capsys, forks):
-    # with the pipeline's gate open, a check left to the child would fail
-    # there and read as a defect
+    # a sweep row forks on two CPUs, so a check left to the child would
+    # fail there and read as a defect
     code, record, err = run_json(capsys, "table", "--n", "100", "--kmax", "-1")
     assert forks == []
     assert code == 2
@@ -710,15 +713,16 @@ def test_a_lower_band_that_raises_kills_and_reaps_the_child(capsys, monkeypatch,
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 def test_verify_bands_run_count_table_in_one_process_each(capsys, forks):
-    # with count_table's pipeline open to every sweep row, this process's
-    # band, rows 0..71, holds the sweep rows 47..71, and forks none of them
+    # count_table forks on every sweep row of a lone process, but this
+    # process's band, rows 0..71, holds the sweep rows 47..71, and forks
+    # none of them
     assert run_json(capsys, "verify", "--n-max", "100", "--k-max", "50")[0] == 0
     assert forks == [1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 def test_one_row_or_one_cpu_runs_verify_in_one_process(capsys, monkeypatch, forks):
-    # one row leaves the child no band, even with the split's gate open
+    # one row leaves the child no band, even on two CPUs
     assert run_json(capsys, "verify", "--n-max", "0", "--k-max", "300")[0] == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run_json(capsys, "verify", "--n-max", "20", "--k-max", "300")[0] == 0
@@ -728,23 +732,50 @@ def test_one_row_or_one_cpu_runs_verify_in_one_process(capsys, monkeypatch, fork
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 @pytest.mark.parametrize(
     "n_max, k_max, forked",
-    # 1, 6,666 and 13,736 units of work, below the floor, then 69,531
-    [(0, 0, []), (10, 100, []), (15, 100, []), (20, 300, [1])],
-    ids=["probe", "10-100", "15-100", "verify-grid"],
+    # one and two rows leave the child no band; three rows or more fork
+    [(0, 0, []), (1, 300, []), (2, 100, [1]), (10, 100, [1]), (15, 100, [1]), (20, 300, [1])],
+    ids=["probe", "two-rows", "2-100", "10-100", "15-100", "verify-grid"],
 )
-def test_the_split_floor_lets_verify_grid_fork_and_keeps_the_probe_here(
-    capsys, monkeypatch, n_max, k_max, forked
+def test_a_second_band_lets_verify_fork_and_the_probe_stays_here(
+    capsys, forks, n_max, k_max, forked
 ):
-    made, fork = [], os.fork
-
-    def counted():
-        made.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", counted)
     assert run_json(capsys, "verify", "--n-max", str(n_max), "--k-max", str(k_max))[0] == 0
-    assert made == forked
+    assert forks == forked
+
+
+def bench_walk(m: int, p: str, trials: int, seed: int) -> tuple[str, ...]:
+    """perfbench/run.py's walk_argv."""
+    return ("walk", "--m", str(m), "--p", p, "--trials", str(trials),
+            "--seed", str(seed), "--max-steps", str(10 ** 7))
+
+
+# Every command line of the benchmark's set-up probes and of one round of
+# each of its four workloads, copied from perfbench/run.py's probe_argvs,
+# counts_round, verify_round, tail_round and bulk_round at --seed 1, with
+# the forks each makes on two CPUs.
+BENCHMARK_FORKS = [
+    pytest.param(("verify", "--n-max", "0", "--k-max", "0"), [], id="probe-verify"),
+    pytest.param(bench_walk(2, "1/3", 1000, 1), [], id="probe-walk"),
+    pytest.param(("table", "--n", "10", "--kmax", "2000"), [], id="counts-10-2000"),
+    pytest.param(("table", "--n", "100", "--kmax", "4000"), [1], id="counts-100-4000"),
+    pytest.param(("table", "--n", "1000", "--kmax", "2000"), [1], id="counts-1000-2000"),
+    pytest.param(("hpoly", "--m", "3000"), [], id="counts-hpoly-3000"),
+    pytest.param(("verify", "--n-max", "20", "--k-max", "300"), [1], id="verify-grid"),
+    pytest.param(bench_walk(2000, "2/5", 200, 1), [], id="tail-2000"),
+    *(
+        pytest.param(bench_walk(150, "1/2", 4000, 1000 + i), [], id=f"tail-150-{i}")
+        for i in range(1, 7)
+    ),
+    pytest.param(bench_walk(3, "1/3", 4_000_000, 1), [1], id="bulk-3"),
+    pytest.param(bench_walk(8, "2/5", 2_000_000, 1), [1], id="bulk-8"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize("argv, forked", BENCHMARK_FORKS)
+def test_the_benchmark_forks_where_its_work_has_two_parts(capsys, forks, argv, forked):
+    assert run_cli(capsys, *argv)[0] == 0
+    assert forks == forked
 
 
 def processes_with(marker: str) -> list[int]:

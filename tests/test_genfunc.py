@@ -296,7 +296,6 @@ def test_one_cpu_runs_the_same_chain_in_this_process(monkeypatch, n, kmax, cpus,
     def no_fork():
         raise AssertionError("forked on one CPU")
 
-    monkeypatch.setattr(genfunc, "PIPELINE_MIN_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
@@ -332,23 +331,21 @@ def test_a_fork_that_fails_leaves_the_chain_in_this_process(forks, monkeypatch, 
             os.fstat(fd)
 
 
-def test_rows_below_the_gate_do_not_fork(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked below the gate")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    # verify --n-max 100 --k-max 1000's rows stay in this process, and so
-    # do sweep rows with n above a small kmax
-    for n, kmax in [(FIRST_SWEEP_N, FIRST_SWEEP_N), (100, 50), (100, 1000), (2000, 100)]:
-        assert FIRST_SWEEP_N <= min(n, kmax)
-        assert kmax * min(kmax, n) < genfunc.PIPELINE_MIN_WORK
+def test_rows_below_the_gate_do_not_fork(forks):
+    # The coefficient rows (min(n, kmax) < FIRST_SWEEP_N) never fork, however
+    # large; every sweep row does, however small.
+    for n, kmax in [(FIRST_SWEEP_N - 1, 4000), (10, 2000), (2000, FIRST_SWEEP_N - 1)]:
+        count_table(n, kmax)
+    assert forks == []
+    for n, kmax in [(FIRST_SWEEP_N, FIRST_SWEEP_N), (100, 50)]:
         assert count_table(n, kmax).counts == swept_twice_counts(n, kmax)
+    assert forks == [1, 1]
 
 
 def faulty_sweep(fault, at):
     """A first sweep that yields its true terms up to term `at`, or all of
     them if `at` is None, then meets `fault`; it runs only in the child,
-    since the gate is open."""
+    since a sweep row forks on two CPUs."""
 
     def sweep(series, m, kmax):
         terms = sweep_height_poly(series, m, kmax)

@@ -266,8 +266,9 @@ def test_block_stepping_matches_the_lockstep_reference(forks, budget, pool, data
     # With a pool of one or three, a new group starts every trial or two,
     # so 60 pools of trials already cross dozens of admission seams; more
     # trials would only make the one-step passes of budget 1 slow.  A run
-    # of more than one pool splits in two at the gate the fixture opens, so
-    # with those pools the seam between the halves is checked as well.
+    # of more than one pool splits in two, forking on the fixture's two
+    # CPUs, so with those pools the seam between the halves is checked as
+    # well.
     cfg = data.draw(walk_configs(min(3000, 60 * pool)))
     forks.clear()
     with (
@@ -317,9 +318,10 @@ def traced_peak(cfg):
 
 @needs_fork
 def test_memory_does_not_grow_with_trials(forks):
-    # Each bound is on one process.  With the gate shut, this one runs all
-    # 4 pools of trials; open, it runs the lower 4 pools of 8 and adds the
-    # child's histogram, while the child runs the upper 4 by the same code.
+    # Each bound is on one process.  With no second CPU, this one runs all
+    # 4 pools of trials, a half after the other; with one, it runs the lower
+    # 4 pools of 8 and adds the child's histogram, while the child runs the
+    # upper 4 by the same code.
     def peak(trials):
         return traced_peak(WalkConfig(m=3, p=Fraction(1, 3), trials=trials, seed=1))
 
@@ -336,8 +338,8 @@ def test_footprint_is_a_few_pool_sized_arrays(forks):
     # The pass works in buffers made once per call (four of _POOL 64-bit
     # words, three small ones) and frees each index array once it is used;
     # the peak, 5.38 arrays of _POOL int64s, comes at the first admission.
-    # The bound is on this process: all of the trials with the gate shut,
-    # the lower half of them with it open.
+    # The bound is on this process: all of the trials, a half after the
+    # other, with no second CPU, and the lower half of them with one.
     cfg = WalkConfig(m=3, p=Fraction(1, 3), trials=4 * walk._POOL, seed=1)
     with mock.patch.object(child, "_second_cpu", lambda: False):
         assert traced_peak(cfg) <= 5.5 * 8 * walk._POOL
@@ -432,8 +434,9 @@ def test_a_pipe_or_fork_that_fails_runs_the_walk_in_this_process(forks, monkeypa
     monkeypatch.setattr(os, call, fail)
     with mock.patch.object(walk, "_run", wraps=walk._run) as run:
         assert bits(simulate(cfg)) == bits(whole)
-    # one _run over every trial, and no child
-    assert run.call_args_list == [mock.call(cfg, 0, cfg.trials)]
+    # both halves here, the upper after the lower, and no child
+    half = cfg.trials // 2
+    assert run.call_args_list == [mock.call(cfg, 0, half), mock.call(cfg, half, cfg.trials)]
     assert forks == [call]
 
 
