@@ -145,11 +145,6 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
     while 2 * lower < total:
         split += 1
         lower += split
-    # The brute force's histograms of every order, built before the fork
-    # for both bands.
-    orders = range(min(k_max, BRUTEFORCE_MAX_ORDER) + 1)
-    for k in orders:
-        count_paths_bruteforce(k, k)
     upper = _mismatched_cells(split, n_max, k_max)
     if split <= n_max:
         upper = _in_child(upper, "verify band")
@@ -158,7 +153,7 @@ def _cmd_verify(args) -> tuple[str, dict, tuple]:
     mismatches = []
     stream = iter(cells)
     for n, k, *routes in zip(stream, stream, stream, stream, stream):
-        if k in orders:
+        if k <= BRUTEFORCE_MAX_ORDER:  # a cell of the brute force's orders
             routes.append(next(stream))
         mismatches.append({"n": n, "k": k} | dict(zip(_ROUTES, map(str, routes))))
     status = "ok" if not mismatches else "mismatch"
@@ -201,8 +196,7 @@ def _mismatched_cells(n_min: int, n_max: int, k_max: int) -> Iterator[int]:
 
 
 def _zscore(estimate: float, se: float, exact: float):
-    if math.isnan(estimate) or math.isnan(se):
-        return math.nan
+    # WalkStats makes an estimate NaN only with its error, and so the quotient.
     if se == 0.0:
         return 0.0 if estimate == exact else math.inf
     return (estimate - exact) / se
@@ -362,10 +356,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Counts outgrow the interpreter's 4300-digit limit on int -> str.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    return _run(_build_parser().parse_args(argv))
+    # Counts outgrow the interpreter's 4300-digit limit on int <-> str,
+    # which is lifted for the call only (a Python before 3.10.7 has none).
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(_build_parser().parse_args(argv))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(_build_parser().parse_args(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> NoReturn:

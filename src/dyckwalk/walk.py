@@ -194,22 +194,21 @@ def simulate(cfg: WalkConfig) -> WalkStats:
     one draw per step, regardless of how trials are pooled, blocked or
     split between processes.  A run of more than one pool (_POOL trials)
     splits its ids in halves: a child forked by _in_child runs the upper
-    one and pipes its outcome back while this process runs the lower
-    one; with one usable CPU, or a pipe or fork that fails, this process
-    runs the upper half after the lower.  The two histograms add exactly,
-    and _estimate works once from their sum, with the even-length defect
-    check, so the statistics are those of one _run bit for bit.
+    one and pipes its outcome back while this process runs the lower one;
+    with one usable CPU, or a pipe or fork that fails, this process runs
+    the upper half after the lower (a one-pool run's upper part is empty,
+    and read here).  The histograms add exactly, and _estimate works once
+    from their sum, with the even-length check: one _run's results, bit for bit.
     """
-    half = cfg.trials // 2
-    upper = _in_child(_outcome(cfg, half, cfg.trials), "walk") if cfg.trials > _POOL else None
-    if upper is None:
-        successes, truncated = _run(cfg, 0, cfg.trials)
-    else:
-        with closing(upper):
-            successes, truncated = _run(cfg, 0, half)
-            truncated += next(upper)
-            for length, n_right in zip(upper, upper):
-                successes[length] += n_right
+    half = cfg.trials // 2 if cfg.trials > _POOL else cfg.trials
+    upper = _outcome(cfg, half, cfg.trials)
+    if half < cfg.trials:
+        upper = _in_child(upper, "walk")
+    with closing(upper):
+        successes, truncated = _run(cfg, 0, half)
+        truncated += next(upper)
+        for length, n_right in zip(upper, upper):
+            successes[length] += n_right
     return _estimate(cfg.trials, truncated, successes)
 
 

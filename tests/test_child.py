@@ -1,13 +1,9 @@
 """The fork helper's rule against nesting: two processes hold both CPUs."""
 
-import os
-
-import pytest
-
 from dyckwalk import child
 from dyckwalk.child import _in_child
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+from conftest import needs_fork
 
 
 def forks_again(forks):

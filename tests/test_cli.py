@@ -35,6 +35,8 @@ from dyckwalk.cli import (
 )
 from dyckwalk.genfunc import CountTable, DivisibilityError
 
+from conftest import CHILD_FAULTS, child_fault, needs_fork
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -127,11 +129,11 @@ def test_verify_builds_each_row_once(capsys, monkeypatch):
     # one sweep for each band, rows 0..2 and row 3, each dividing its own rows
     assert sweeps == [(2, 16, 0), (3, 16, 3)]
     assert cells == [] and "count_paths_dp" not in vars(cli)
-    # every brute-force order enumerated once, before the rows, however
-    # many bounds ask for it
+    # every brute-force order enumerated once, by the first row that reads
+    # it, however many bounds ask for it
     info = oracle._maxima_histograms.cache_info()
     assert info.misses == oracle.BRUTEFORCE_MAX_ORDER + 1
-    assert info.hits == 5 * (oracle.BRUTEFORCE_MAX_ORDER + 1) - info.misses
+    assert info.hits == 4 * (oracle.BRUTEFORCE_MAX_ORDER + 1) - info.misses
 
 
 def test_verify_reports_each_mismatched_cell(capsys, monkeypatch):
@@ -308,6 +310,33 @@ def test_truncated_walk_carries_the_truncation_note(capsys, p, max_steps, counts
         assert results["hit_prob"] == 1.0 and results["hit_prob_se"] == 0.0
         assert exact["z_hit_prob"] is None  # JSON writes the infinite z-score as null
         assert rows["exact_z_hit_prob"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "args, counts, z_scores",
+    [
+        # every trial truncated: both estimates and their errors are NaN
+        (("--m", "5", "--p", "1/1000", "--trials", "10", "--max-steps", "1", "--seed", "1"),
+         (0, 0, 10), ("nan", "nan")),
+        # one right hit: its length is the mean, whose standard error is NaN
+        (("--m", "2", "--p", "1/3", "--trials", "3", "--seed", "3"), (1, 2, 0), ("0.0", "nan")),
+    ],
+    ids=["all-truncated", "one-right-hit"],
+)
+def test_a_nan_estimate_has_a_nan_z_score(capsys, args, counts, z_scores):
+    code, record, _ = run_json(capsys, "walk", *args)
+    assert code == 0
+    results = record["results"]
+    assert (results["hits_right"], results["hits_left"], results["truncated"]) == counts
+    assert results["mean_hit_len_se"] is None
+    exact = results["exact"]
+    assert [exact["z_hit_prob"], exact["z_mean_hit_len"]] == [
+        None if z == "nan" else float(z) for z in z_scores
+    ]
+    code, out, _ = run_cli(capsys, "walk", *args, "--format", "csv")
+    assert code == 0
+    rows = {row["field"]: row["value"] for row in csv.DictReader(io.StringIO(out))}
+    assert (rows["exact_z_hit_prob"], rows["exact_z_mean_hit_len"]) == z_scores
 
 
 def test_hpoly_json_and_csv(capsys):
@@ -495,7 +524,7 @@ def test_defect_record_in_csv(capsys, monkeypatch):
     assert "even-length success at step 4" in rows[1][0]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 def test_negative_kmax_of_a_sweep_row_is_refused_before_any_fork(capsys, forks):
     # a sweep row forks on two CPUs, so a check left to the child would
     # fail there and read as a defect
@@ -508,7 +537,7 @@ def test_negative_kmax_of_a_sweep_row_is_refused_before_any_fork(capsys, forks):
     assert record["results"] == {"error": "kmax must be nonnegative, got -1"}
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 def test_a_failed_sweep_child_is_a_defect(capsys, monkeypatch, forks):
     # the first sweep runs in the child, and fails there after three terms
     sweep = genfunc.sweep_height_poly
@@ -516,7 +545,7 @@ def test_a_failed_sweep_child_is_a_defect(capsys, monkeypatch, forks):
     def faulty(series, m, kmax):
         for k, term in enumerate(sweep(series, m, kmax)):
             if k == 3:
-                raise RuntimeError("injected fault in the sweep")
+                child_fault("raises")
             yield term
 
     monkeypatch.setattr(genfunc, "sweep_height_poly", faulty)
@@ -530,18 +559,16 @@ def test_a_failed_sweep_child_is_a_defect(capsys, monkeypatch, forks):
     assert record["results"]["error"].startswith(message)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
-@pytest.mark.parametrize(
-    "exit_code, status", [(1, 1 << 8), (0, 0)], ids=["exits-nonzero", "short-stream"]
-)
-def test_a_failed_walk_child_is_a_defect(capsys, monkeypatch, forks, exit_code, status):
-    # the upper half runs in the child, which ends after writing its
-    # truncated count and no (length, count) pair
+@needs_fork
+@pytest.mark.parametrize("fault, status", CHILD_FAULTS)
+def test_a_failed_walk_child_is_a_defect(capsys, monkeypatch, forks, fault, status):
+    # the upper half runs in the child, which meets the fault after writing
+    # its truncated count and no (length, count) pair
     outcome = walk._outcome
 
     def faulty(cfg, first, last):
         yield next(outcome(cfg, first, last))
-        os._exit(exit_code)
+        child_fault(fault)
 
     monkeypatch.setattr(walk, "_outcome", faulty)
     trials = walk._POOL + 1
@@ -559,7 +586,7 @@ def test_a_failed_walk_child_is_a_defect(capsys, monkeypatch, forks, exit_code, 
     assert record["results"] == {"error": message}
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 @pytest.mark.parametrize(
     "argv",
     [
@@ -608,7 +635,7 @@ def planted_dp(monkeypatch, cells) -> list[int]:
 # --n-max 20 rows 0..14 here and 15..20 there.  (1, 3) and (15, 3) are
 # cells the brute force covers, (4, 15) and (20, 300) are past its guard,
 # the first of them on the first order it leaves out.
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
     "n_max, k_max, here, planted",
@@ -645,20 +672,19 @@ def test_a_split_verify_gives_the_record_of_one_process(
         ]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
-@pytest.mark.parametrize(
-    "exit_code, status", [(1, 1 << 8), (0, 0)], ids=["exits-nonzero", "short-stream"]
-)
-def test_a_failed_verify_child_is_a_defect(capsys, monkeypatch, forks, exit_code, status):
-    # the child writes the n of a first mismatched cell, and ends there
-    cells, parent = cli._mismatched_cells, os.getpid()
+@needs_fork
+@pytest.mark.parametrize("fault, status", CHILD_FAULTS)
+def test_a_failed_verify_child_is_a_defect(capsys, monkeypatch, forks, fault, status):
+    # the upper band, row 4, runs in the child, which writes the n of a
+    # first mismatched cell and meets the fault there
+    cells = cli._mismatched_cells
 
     def faulty(n_min, n_max, k_max):
-        if os.getpid() == parent:
+        if n_min == 0:
             yield from cells(n_min, n_max, k_max)
         else:
             yield n_min
-            os._exit(exit_code)
+            child_fault(fault)
 
     monkeypatch.setattr(cli, "_mismatched_cells", faulty)
     code, record, err = run_json(capsys, "verify", "--n-max", "4", "--k-max", "16")
@@ -674,7 +700,7 @@ def test_a_failed_verify_child_is_a_defect(capsys, monkeypatch, forks, exit_code
     assert record["results"] == {"error": message}
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 def test_a_lower_band_that_raises_kills_and_reaps_the_child(capsys, monkeypatch, forks):
     # the child is still on its rows when this process gives up; the
     # autouse fixture of conftest.py fails the test if it is left unreaped
@@ -711,7 +737,7 @@ def test_a_lower_band_that_raises_kills_and_reaps_the_child(capsys, monkeypatch,
     assert seen == [[signal.SIGKILL]]  # killed, not waited out
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 def test_verify_bands_run_count_table_in_one_process_each(capsys, forks):
     # count_table forks on every sweep row of a lone process, but this
     # process's band, rows 0..71, holds the sweep rows 47..71, and forks
@@ -720,7 +746,7 @@ def test_verify_bands_run_count_table_in_one_process_each(capsys, forks):
     assert forks == [1]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 def test_one_row_or_one_cpu_runs_verify_in_one_process(capsys, monkeypatch, forks):
     # one row leaves the child no band, even on two CPUs
     assert run_json(capsys, "verify", "--n-max", "0", "--k-max", "300")[0] == 0
@@ -729,7 +755,7 @@ def test_one_row_or_one_cpu_runs_verify_in_one_process(capsys, monkeypatch, fork
     assert forks == []
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 @pytest.mark.parametrize(
     "n_max, k_max, forked",
     # one and two rows leave the child no band; three rows or more fork
@@ -771,7 +797,7 @@ BENCHMARK_FORKS = [
 ]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@needs_fork
 @pytest.mark.parametrize("argv, forked", BENCHMARK_FORKS)
 def test_the_benchmark_forks_where_its_work_has_two_parts(capsys, forks, argv, forked):
     assert run_cli(capsys, *argv)[0] == 0
@@ -1276,10 +1302,32 @@ def test_counts_past_the_int_str_limit_are_printed(capsys, monkeypatch, default_
     code, record, _ = run_json(capsys, "table", "--n", "3", "--kmax", "1")
     assert code == 0
     assert record["status"] == "ok"
-    assert record["results"]["counts"] == ["1", "1" + "0" * 5000]
+    # spelled out, not str(big): main lifts the limit for its own call only
+    counts = ["1", "1" + "0" * 5000]
+    assert record["results"]["counts"] == counts
     code, out, _ = run_cli(capsys, "table", "--n", "3", "--kmax", "1", "--format", "csv")
     assert code == 0
-    assert [row["count"] for row in csv.DictReader(io.StringIO(out))] == ["1", str(big)]
+    assert [row["count"] for row in csv.DictReader(io.StringIO(out))] == counts
+
+
+class BrokenPipe(io.StringIO):
+    """A stdout whose every write fails as a closed pipe's."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("route", ["ok", "error", "broken-pipe"])
+def test_main_leaves_the_int_str_limit_as_it_found_it(capsys, monkeypatch, default_int_str_limit, route):
+    sys.set_int_max_str_digits(4321)  # a caller's own limit, not the default
+    argv = list(ERROR_ARGV if route == "error" else ("table", "--n", "2", "--kmax", "6"))
+    if route == "broken-pipe":
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        with pytest.raises(BrokenPipeError):
+            main(argv)
+    else:
+        assert main(argv) == (2 if route == "error" else 0)
+    assert sys.get_int_max_str_digits() == 4321
 
 
 # An n of 100,008 digits, whose str() takes about 0.2 s: formatted again in

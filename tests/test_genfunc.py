@@ -2,7 +2,6 @@
 
 import errno
 import os
-import signal
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +20,8 @@ from dyckwalk.genfunc import (
 from dyckwalk.heightpoly import divide_by_height_poly, height_poly, sweep_height_poly
 from dyckwalk.oracle import catalan, count_paths_dp, count_row_dp
 from dyckwalk.poly import mul, normalize
+
+from conftest import CHILD_FAULTS, child_fault, needs_fork
 
 
 @pytest.mark.parametrize(
@@ -243,9 +244,6 @@ def test_division_groups_shape(n, kmax, sweeps, monkeypatch):
         count_table(n, kmax)
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
-
-
 def swept_twice_counts(n: int, kmax: int) -> tuple[int, ...]:
     """count_table's route with both sweeps in this process, one after the other."""
     series = divide_by_height_poly(series_numerator(n), n + 2, kmax)
@@ -344,8 +342,8 @@ def test_rows_below_the_gate_do_not_fork(forks):
 
 def faulty_sweep(fault, at):
     """A first sweep that yields its true terms up to term `at`, or all of
-    them if `at` is None, then meets `fault`; it runs only in the child,
-    since a sweep row forks on two CPUs."""
+    them if `at` is None, then meets the child fault `fault`; it runs only
+    in the child, since a sweep row forks on two CPUs."""
 
     def sweep(series, m, kmax):
         terms = sweep_height_poly(series, m, kmax)
@@ -353,29 +351,17 @@ def faulty_sweep(fault, at):
         def run():
             for k, term in enumerate(terms):
                 if k == at:
-                    fault()
+                    child_fault(fault)
                 yield term
-            fault()
+            child_fault(fault)
 
         return run()
 
     return sweep
 
 
-def raise_in_child():
-    raise RuntimeError("injected fault in the sweep")
-
-
-def die_in_child():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 @needs_fork
-@pytest.mark.parametrize(
-    "fault, status",
-    [(raise_in_child, 1 << 8), (die_in_child, signal.SIGKILL)],
-    ids=["raises", "killed"],
-)
+@pytest.mark.parametrize("fault, status", CHILD_FAULTS)
 # at term 3, or after the last term, with every term written
 @pytest.mark.parametrize("at", [3, None], ids=["midway", "at-the-end"])
 def test_a_failed_child_is_a_child_process_error(forks, monkeypatch, fault, status, at):

@@ -209,3 +209,20 @@ def test_only_the_command_sets_process_wide_state():
         and ast.unparse(sub) in STREAMS
     }
     assert assigned == {COMMAND}
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_only_the_shared_child_fault_kills_or_exits_in_a_test():
+    # A kill or an exit planted in code that should run in a forked child
+    # ends pytest itself, with no summary, if that code runs in pytest's
+    # process; conftest.child_fault fails the test there instead.
+    found = {
+        (path.stem, getattr(node, "name", None))
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        for spelled in spellings(node)
+        if spelled in {"os._exit", "os.kill"}
+    }
+    assert found == {("conftest", "child_fault")}

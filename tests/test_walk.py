@@ -22,11 +22,10 @@ from dyckwalk.walk import (
     simulate,
 )
 
+from conftest import CHILD_FAULTS, child_fault, needs_fork
 from references import path_series_closed, renewal_identity_holds
 
 PROBABILITY_GRID = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 7)]
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
 
 @pytest.mark.parametrize("p", PROBABILITY_GRID)
@@ -371,37 +370,17 @@ def test_a_split_run_gives_estimate_what_one_process_gives(forks, cfg):
 
 
 def after_the_first_term(fault):
-    """An upper half whose child meets `fault` once it has written the
-    truncated count, before any (length, count) pair."""
+    """An upper half whose child meets the child fault `fault` once it has
+    written the truncated count, before any (length, count) pair."""
     outcome = walk._outcome
 
     def faulty(cfg, first, last):
         terms = outcome(cfg, first, last)
         yield next(terms)
-        fault()
+        child_fault(fault)
         yield from terms
 
     return faulty
-
-
-def raise_in_child():
-    raise RuntimeError("injected fault in the walk's upper half")
-
-
-def die_in_child():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def exit_well_in_child():
-    os._exit(0)
-
-
-# each fault, and the child's wait status; none writes the stream's end
-CHILD_FAULTS = [
-    pytest.param(raise_in_child, 1 << 8, id="raises"),
-    pytest.param(die_in_child, signal.SIGKILL, id="killed"),
-    pytest.param(exit_well_in_child, 0, id="exits-0"),
-]
 
 
 @needs_fork
