@@ -2,14 +2,14 @@
 
 count_table's pipeline, walk.simulate's split and verify's upper band of
 rows each hand _in_child an iterator of ints whenever their work has two
-parts, and read back an iterator of the same ints.  _in_child alone
-decides whether a child computes them; if none does, the caller reads
-its own iterator, so it keeps one path.  A child, or a process whose
-child is running, does not fork again: the two processes already hold
-both CPUs.  So verify's bands run count_table in one process each; with
-its pipeline forking inside both, verify --n-max 100 --k-max 2000 took
-3.94 s against 3.67 s, and --k-max 4000 12.85 s against 11.74 s
-(medians of 4 and 3 alternating runs, 2 cores).
+parts, and read the same ints back to their end, where the stream is
+checked.  _in_child alone decides whether a child computes them; if none
+does, the caller reads its own iterator, so it keeps one path.  A child,
+or a process whose child is running, does not fork again: the two
+processes already hold both CPUs.  So verify's bands run count_table in
+one process each; with its pipeline forking inside both, verify
+--n-max 100 --k-max 2000 took 3.94 s against 3.67 s, and --k-max 4000
+12.85 s against 11.74 s (medians of 4 and 3 alternating runs, 2 cores).
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ def _in_child(terms: Iterable[int], what: str, count: int | None = None) -> Iter
     and writes each int to a pipe as soon as it has it, as a 4-byte length
     and its signed little-endian bytes, then a length of zero to end the
     stream, and exits by os._exit, so it never returns into the caller's
-    stack or flushes a buffer it inherited.  The stream must have its end
-    and the child must have exited with status 0 before the iterator ends,
-    and before its `count`-th item is yielded when `count` is given (the
-    caller may stop reading there); otherwise ChildProcessError names
-    `what` and the wait status.  Closing the iterator early kills and
-    reaps the child, so none is left behind.
+    stack or flushes a buffer it inherited.  The caller reads the items to
+    their end, where every check runs: the stream has its end and no byte
+    after it, `count` items when `count` is given, and the child exited
+    with status 0; otherwise ChildProcessError names `what`, the wait
+    status and how the stream fell short.  Closing the iterator early
+    kills and reaps the child, so none is left behind.
     """
     global _busy
     if not _second_cpu():
@@ -93,22 +93,18 @@ def _from_child(pid: int, read_fd: int, what: str, count: int | None) -> Iterato
         while (head := pipe.read(4)) != _END and len(head) == 4:
             data = pipe.read(int.from_bytes(head, "little"))
             written += 1
-            if written == count:  # held back until the child is known to have ended well
-                head = pipe.read(4)
-                break
             yield int.from_bytes(data, "little", signed=True)
-        whole = head == _END and count in (None, written) and not pipe.read(1)
+        whole = head == _END and not pipe.read(1)
         # Closed first, so that a child with more to write ends too.
         pipe.close()
         _, status = os.waitpid(pid, 0)
-        if status or not whole:
-            short = "a stream cut short" if count is None else f"other than {count} terms"
+        short = "" if whole else " after writing a stream cut short"
+        if whole and count not in (None, written):
+            short = f" after writing other than {count} terms"
+        if status or short:
             raise ChildProcessError(
-                f"the {what}'s child process ended with wait status {status}"
-                + ("" if whole else f" after writing {short}")
+                f"the {what}'s child process ended with wait status {status}{short}"
             )
-        if count is not None:
-            yield int.from_bytes(data, "little", signed=True)
     finally:
         _busy = False
         pipe.close()

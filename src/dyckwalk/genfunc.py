@@ -102,9 +102,10 @@ def count_table(n: int, kmax: int) -> CountTable:
     which runs it in a forked child that streams its quotient to the
     second one here, or, with one usable CPU, a failed pipe or fork, or a
     process that is a child or has one running (as each of verify's bands
-    does), hands it back to be pulled term by term in this process.  The
-    arguments are checked before any fork (series_coeffs names a negative
-    kmax), and a child that fails raises ChildProcessError.
+    does), hands it back to be pulled term by term in this process.  Its
+    stream is read to its end, where a child that failed or wrote other
+    than kmax+1 terms raises ChildProcessError; the arguments are checked
+    before any fork (series_coeffs names a negative kmax).
     """
     h = min(n, max(kmax, 0))
     series = series_numerator(h)
@@ -116,5 +117,7 @@ def count_table(n: int, kmax: int) -> CountTable:
         first = _in_child(sweep_height_poly(series, h + 2, kmax), "sweep", kmax + 1)
         with closing(first):
             series = divide_by_height_poly(first, h + 2, kmax)
+            for _ in first:  # to its end, where a child's stream is checked
+                pass
     series = series_coeffs(series, _ONE_MINUS_4X, kmax)
     return CountTable(n=n, kmax=kmax, counts=counts_from_series(series))

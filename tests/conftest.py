@@ -51,6 +51,20 @@ def no_child_left_behind():
     pytest.fail(f"the test left a child process behind (waitpid gave {pid}, {status})")
 
 
+@pytest.fixture(autouse=True)
+def no_descriptor_left_open():
+    """Fail a test after which this process holds a descriptor that it did
+    not hold before, such as a child's pipe left unclosed."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    left = set(os.listdir("/proc/self/fd")) - before
+    if left:
+        pytest.fail(f"the test left descriptors {sorted(left, key=int)} open")
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Give this process two usable CPUs, so that count_table forks on

@@ -1,9 +1,11 @@
-"""The fork helper's rule against nesting: two processes hold both CPUs."""
+"""The fork helper's rule against nesting, and where a child's stream is checked."""
+
+import pytest
 
 from dyckwalk import child
 from dyckwalk.child import _in_child
 
-from conftest import needs_fork
+from conftest import child_fault, needs_fork
 
 
 def forks_again(forks):
@@ -42,4 +44,19 @@ def test_a_closed_stream_lets_the_process_fork_again(forks):
     assert next(outer) == 0
     outer.close()
     assert child._second_cpu()
+    assert forks == [1]
+
+
+@needs_fork
+def test_a_stream_is_checked_where_it_ends(forks):
+    def items():
+        yield from [1, 2, 3]
+        child_fault("exits-nonzero")
+
+    stream = _in_child(items(), "x", 3)
+    # every item written is read, the last included, before any check runs
+    assert [next(stream) for _ in range(3)] == [1, 2, 3]
+    message = "the x's child process ended with wait status 256 after writing a stream cut short"
+    with pytest.raises(ChildProcessError, match=f"^{message}$"):
+        next(stream)
     assert forks == [1]

@@ -366,7 +366,9 @@ def faulty_sweep(fault, at):
 @pytest.mark.parametrize("at", [3, None], ids=["midway", "at-the-end"])
 def test_a_failed_child_is_a_child_process_error(forks, monkeypatch, fault, status, at):
     monkeypatch.setattr(genfunc, "sweep_height_poly", faulty_sweep(fault, at))
-    with pytest.raises(ChildProcessError, match=f"wait status {status}\\b"):
+    # no fault writes the stream's end, even after all 61 terms
+    message = f"the sweep's child process ended with wait status {status} after writing a stream cut short"
+    with pytest.raises(ChildProcessError, match=f"^{message}$"):
         count_table(100, 60)
     assert forks == [1]
 
